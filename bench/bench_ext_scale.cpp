@@ -15,7 +15,7 @@
 //   into the O(log K) accumulator as it reports. Gates:
 //     (a) the round completes (quorum met, aggregate applied),
 //     (b) peak RSS stays under --rss-ceiling-mb (the bounded-memory
-//         claim, measured via getrusage ru_maxrss over the process),
+//         claim, measured as the process's VmHWM high-water mark),
 //     (c) reducer occupancy respects the floor(log2 K)+1 bound.
 //   Headline metrics: peak_rss_mb (class "memory" — gated with its own
 //   regression threshold in CI) and clients_per_sec (class "time").
@@ -45,10 +45,22 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-// Peak resident set of this process in MiB. Linux reports ru_maxrss in
-// KiB; this is a high-water mark over the whole process lifetime, so
-// the cheap Part 1 runs first and cannot mask a Part 2 blow-up.
+// Peak resident set of this process in MiB: a high-water mark over the
+// whole process lifetime, so the cheap Part 1 runs first and cannot
+// mask a Part 2 blow-up. Read from VmHWM in /proc/self/status: Linux
+// carries getrusage's ru_maxrss across execve, so a bench started by a
+// larger process (a Python harness) would report the launcher's peak.
+// ru_maxrss (KiB on Linux) is the fallback where /proc is unavailable.
 double peak_rss_mb() {
+  if (std::FILE* f = std::fopen("/proc/self/status", "r")) {
+    char line[256];
+    long kib = -1;
+    while (std::fgets(line, sizeof line, f) != nullptr) {
+      if (std::sscanf(line, "VmHWM: %ld kB", &kib) == 1) break;
+    }
+    std::fclose(f);
+    if (kib > 0) return static_cast<double>(kib) / 1024.0;
+  }
   struct rusage usage {};
   getrusage(RUSAGE_SELF, &usage);
   return static_cast<double>(usage.ru_maxrss) / 1024.0;

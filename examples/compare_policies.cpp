@@ -57,12 +57,17 @@ int main(int argc, char** argv) {
     core::PrivacyReport report = core::account_privacy(result.privacy_setup);
     const bool is_cdp = policy->needs_per_example_gradients();
     const bool is_private = policy->name() != "non-private";
+    // B*Kt > N leaves Fed-CDP without an instance-level sampling rate.
+    const bool cdp_defined = report.instance_level_defined;
     table.add_row(
         {policy->name(), AsciiTable::fmt(result.final_accuracy),
          AsciiTable::fmt(result.ms_per_local_iteration, 2),
-         is_cdp ? AsciiTable::fmt(report.fed_cdp_instance_epsilon)
+         is_cdp ? (cdp_defined
+                       ? AsciiTable::fmt(report.fed_cdp_instance_epsilon)
+                       : "undefined")
                 : (is_private ? "not supported" : "-"),
-         is_cdp ? AsciiTable::fmt(report.fed_cdp_client_epsilon)
+         is_cdp ? (cdp_defined ? AsciiTable::fmt(report.fed_cdp_client_epsilon)
+                               : "undefined")
                 : (is_private ? AsciiTable::fmt(report.fed_sdp_client_epsilon)
                               : "-")});
     std::printf("%s done\n", policy->name().c_str());

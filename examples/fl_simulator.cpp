@@ -197,6 +197,24 @@ int run_simulator(const FlagParser& flags) {
   auto policy = parse_policy(flags.get("policy", "fed-cdp"), clip, sigma,
                              config.effective_rounds());
 
+  // Fed-CDP's guarantee is instance-level, at sampling rate B*Kt/N. A
+  // cohort whose batches outnumber the dataset has no such rate and so
+  // no epsilon: refuse it here rather than after training. (Fed-SDP
+  // needs only Kt/K and runs.)
+  const std::int64_t sampled =
+      config.bench.batch_size * config.clients_per_round;
+  if (policy->needs_per_example_gradients() &&
+      sampled > config.bench.train_spec.count) {
+    std::fprintf(stderr,
+                 "fl_simulator: refusing %s: B*Kt = %lld exceeds the "
+                 "dataset size N = %lld, so the instance-level sampling "
+                 "rate B*Kt/N is above 1 and epsilon is undefined; lower "
+                 "--per-round or use --policy=fed-sdp\n",
+                 policy->name().c_str(), static_cast<long long>(sampled),
+                 static_cast<long long>(config.bench.train_spec.count));
+    return 2;
+  }
+
   std::printf("fl_simulator: %s on %s — K=%lld Kt=%lld T=%lld L=%lld "
               "B=%lld sigma=%.3f C=%.2f prune=%.0f%% dropout=%.0f%%\n",
               policy->name().c_str(), config.bench.name.c_str(),
@@ -287,11 +305,18 @@ int run_simulator(const FlagParser& flags) {
   }
 
   core::PrivacyReport report = core::account_privacy(result.privacy_setup);
-  std::printf("privacy: instance eps=%.4f, client eps (Fed-CDP joint "
-              "DP)=%.4f, client eps (Fed-SDP accounting)=%.4f @ "
-              "delta=1e-5\n",
-              report.fed_cdp_instance_epsilon,
-              report.fed_cdp_client_epsilon, report.fed_sdp_client_epsilon);
+  if (report.instance_level_defined) {
+    std::printf("privacy: instance eps=%.4f, client eps (Fed-CDP joint "
+                "DP)=%.4f, client eps (Fed-SDP accounting)=%.4f @ "
+                "delta=1e-5\n",
+                report.fed_cdp_instance_epsilon,
+                report.fed_cdp_client_epsilon,
+                report.fed_sdp_client_epsilon);
+  } else {
+    std::printf("privacy: instance eps undefined (B*Kt > N), client eps "
+                "(Fed-SDP accounting)=%.4f @ delta=1e-5\n",
+                report.fed_sdp_client_epsilon);
+  }
 
   if (flags.get_bool("attack", false)) {
     std::printf("\nmounting the gradient-leakage attack...\n");

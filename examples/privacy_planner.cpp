@@ -28,6 +28,15 @@ int main(int argc, char** argv) {
     setup.noise_scale = std::atof(argv[7]);
     setup.delta = 1e-5;
     core::PrivacyReport r = core::account_privacy(setup);
+    if (!r.instance_level_defined) {
+      // B*Kt > N: no instance-level sampling rate, so Fed-CDP has no
+      // epsilon; Fed-SDP's client-level budget needs only Kt/K.
+      std::printf("instance-level: undefined (B*Kt > N)\n");
+      std::printf("client-level:   q=%.5f steps=%lld  Fed-SDP eps=%.4f\n",
+                  r.client_q, static_cast<long long>(r.client_steps),
+                  r.fed_sdp_client_epsilon);
+      return 0;
+    }
     std::printf("instance-level: q=%.5f steps=%lld  Fed-CDP eps=%.4f "
                 "(closed form %.4f)\n",
                 r.instance_q, static_cast<long long>(r.instance_steps),

@@ -55,6 +55,10 @@ int main() {
 
   // 4. Account the privacy spent.
   core::PrivacyReport report = core::account_privacy(result.privacy_setup);
+  if (!report.instance_level_defined) {
+    std::printf("privacy: instance-level epsilon undefined (B*Kt > N)\n");
+    return 0;
+  }
   std::printf("privacy: instance-level epsilon=%.4f (delta=1e-5, q=%.4f, "
               "steps=%lld)\n",
               report.fed_cdp_instance_epsilon, report.instance_q,

@@ -1,4 +1,5 @@
-// Shared SIMD dispatch attribute for the hot tensor kernels.
+// Shared SIMD dispatch attributes for the hot kernels (tensor matmul
+// and im2col, the Philox noise fill).
 //
 // Kernels marked FEDCL_KERNEL_CLONES are compiled once per ISA level
 // and dispatched at load time (GNU ifunc), so a generic build still
@@ -24,6 +25,18 @@
 #define FEDCL_HAVE_V4_KERNELS 1
 inline bool fedcl_cpu_has_v4() {
   static const bool v = __builtin_cpu_supports("x86-64-v4") > 0;
+  return v;
+}
+// The same two ISA levels spelled as feature lists, for kernels built
+// from generic inline helpers. GCC only inlines a helper into a caller
+// of the same `arch`, so an `arch=` target would turn every helper
+// into a call; a feature list keeps the default arch and inlines.
+// FEDCL_ISA_AVX512 is the vector subset of x86-64-v4.
+#define FEDCL_ISA_AVX2 __attribute__((target("avx2")))
+#define FEDCL_ISA_AVX512 \
+  __attribute__((target("avx512f,avx512bw,avx512dq,avx512vl")))
+inline bool fedcl_cpu_has_avx2() {
+  static const bool v = __builtin_cpu_supports("avx2") > 0;
   return v;
 }
 #else

@@ -43,11 +43,18 @@ struct PrivacyReport {
   double fed_sdp_client_epsilon_closed_form = 0.0;
   // Definition 5 applicability q < 1/(16 sigma) at instance level.
   bool sampling_condition_ok = false;
+  // False when B*Kt > N: there is no instance-level sampling rate, the
+  // Fed-CDP fields above are NaN and only the Fed-SDP client-level
+  // budget is reported. Fed-CDP runs with B*Kt > N are refused before
+  // training (fl_simulator).
+  bool instance_level_defined = true;
   // Fed-SDP offers no instance-level guarantee ("not supported" in
   // Table VI); kept explicit for the bench output.
   static constexpr bool fed_sdp_supports_instance_level = false;
 };
 
+// Throws on a malformed setup (non-positive sizes, Kt > K, sigma <= 0);
+// B*Kt > N is not malformed, see instance_level_defined.
 PrivacyReport account_privacy(const FlPrivacySetup& setup);
 
 // Cumulative privacy budget round by round: element t is the budget
@@ -56,7 +63,8 @@ PrivacyReport account_privacy(const FlPrivacySetup& setup);
 // linear in steps), but computed in one pass — this is what the
 // trainer's dp.epsilon telemetry series records each round.
 struct PrivacyRoundSeries {
-  std::vector<double> instance_epsilon;  // Fed-CDP, q = B*Kt/N, L steps/round
+  // Fed-CDP, q = B*Kt/N, L steps/round; NaN when B*Kt > N.
+  std::vector<double> instance_epsilon;
   std::vector<double> client_epsilon;    // Fed-SDP, q = Kt/K, 1 step/round
 };
 

@@ -56,9 +56,9 @@ class PrivacyPolicy {
   // in the [B, numel] per-parameter layout the batched gradient engine
   // produces. The default loops over examples through
   // sanitize_per_example (correct for any subclass); Fed-CDP overrides
-  // it with an in-place batched clip+noise that draws from `rng` in
-  // the same example-major order, so both forms consume identical
-  // noise streams.
+  // it with an in-place batched clip+noise that draws one noise key
+  // per example from `rng` in example order, so both forms lay down
+  // identical noise.
   virtual void sanitize_per_example_batch(
       tensor::list::PerExampleGrads& grads, const ParamGroups& groups,
       std::int64_t round, Rng& rng) const;

@@ -28,29 +28,18 @@ void scale_noise_impl(const ExampleView& ex, const ParamGroups& groups,
       }
     }
   }
+  const float fstddev = static_cast<float>(stddev);
   for (std::size_t p = 0; p < ex.size(); ++p) {
     float* d = ex[p].data;
     const std::int64_t n = ex[p].numel;
     const float s = scales[p];
-    if (stddev == 0.0) {
+    if (fstddev == 0.0f) {
       if (s != 1.0f) {
         for (std::int64_t i = 0; i < n; ++i) d[i] *= s;
       }
       continue;
     }
-    const std::uint64_t stream = static_cast<std::uint64_t>(p);
-    double z0, z1;
-    const std::int64_t even = n & ~static_cast<std::int64_t>(1);
-    for (std::int64_t i = 0; i < even; i += 2) {
-      noise.normal_pair(stream, static_cast<std::uint64_t>(i) >> 1, &z0, &z1);
-      d[i] = d[i] * s + static_cast<float>(stddev * z0);
-      d[i + 1] = d[i + 1] * s + static_cast<float>(stddev * z1);
-    }
-    if (n & 1) {
-      noise.normal_pair(stream, static_cast<std::uint64_t>(even) >> 1, &z0,
-                        &z1);
-      d[even] = d[even] * s + static_cast<float>(stddev * z0);
-    }
+    noise.scale_add(d, n, static_cast<std::uint64_t>(p), s, fstddev);
   }
 }
 

@@ -85,11 +85,15 @@ Result<std::unique_ptr<ServingServer>> ServingServer::create(
 
 ServingReport ServingServer::run() {
   const ExperimentDescriptor& d = descriptor_;
-  telemetry::Registry& reg = telemetry::global_registry();
-  reg.reset();
-
   ServingReport report;
   report.rounds = d.rounds;
+  if (ran_) {
+    report.error = "ServingServer::run called twice: a server runs once";
+    return report;
+  }
+  ran_ = true;
+  telemetry::Registry& reg = telemetry::global_registry();
+  reg.reset();
 
   // -------- experiment state, from the descriptor alone (the workers
   // reconstruct theirs from the identical Welcome bytes) --------
@@ -144,7 +148,9 @@ ServingReport ServingServer::run() {
 
   std::thread accept_thread([&] {
     while (!stop.load(std::memory_order_relaxed)) {
-      TcpConn conn = listener_.accept(50);
+      // No deadline: finish() wakes this wait by shutting the
+      // listener down.
+      TcpConn conn = listener_.accept(-1);
       if (!conn.valid()) continue;
       Frame frame;
       // A connection that cannot produce a well-formed Hello promptly
@@ -195,6 +201,7 @@ ServingReport ServingServer::run() {
 
   auto finish = [&](ServingReport&& r) {
     stop.store(true, std::memory_order_relaxed);
+    listener_.shutdown();
     accept_thread.join();
     for (WorkerSlot& w : workers) {
       if (w.alive) write_frame(w.conn, MsgType::kBye, nullptr, 0);

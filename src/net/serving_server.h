@@ -114,7 +114,9 @@ class ServingServer {
   const ExperimentDescriptor& descriptor() const { return descriptor_; }
 
   // Blocks until the run completes (or fails to start). Admission of
-  // surplus connections keeps running for the whole call.
+  // surplus connections keeps running for the whole call. One run per
+  // server: the run ends by shutting the listener down, so a second
+  // call returns a failed report at once.
   ServingReport run();
 
  private:
@@ -124,6 +126,7 @@ class ServingServer {
   ExperimentDescriptor descriptor_;
   ServingOptions options_;
   TcpListener listener_;
+  bool ran_ = false;
 };
 
 }  // namespace fedcl::net

@@ -217,6 +217,12 @@ Result<TcpListener> TcpListener::bind(int port, int backlog) {
   return listener;
 }
 
+void TcpListener::shutdown() {
+  // On Linux, shutting down a listening socket moves it to CLOSE and
+  // wakes its pollers with POLLHUP; accept() then fails at once.
+  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
+}
+
 TcpConn TcpListener::accept(int timeout_ms) {
   pollfd pfd{fd_, POLLIN, 0};
   if (::poll(&pfd, 1, timeout_ms) <= 0) return TcpConn();

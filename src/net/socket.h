@@ -88,9 +88,15 @@ class TcpListener {
   int port() const { return port_; }
   void close();
 
-  // Accepts one pending connection, waiting at most timeout_ms.
-  // Returns an invalid conn when nothing arrived in time.
+  // Accepts one pending connection, waiting at most timeout_ms (< 0:
+  // no deadline). Returns an invalid conn when nothing arrived in time
+  // or the listener was shut down.
   TcpConn accept(int timeout_ms);
+
+  // Stops accepting: an accept() blocked on this listener in another
+  // thread returns at once, and so does every later one. The port
+  // stays bound until close().
+  void shutdown();
 
  private:
   int fd_ = -1;

@@ -7,7 +7,7 @@
 
 #include "common/error.h"
 #include "common/thread_pool.h"
-#include "tensor/simd.h"
+#include "common/simd.h"
 
 namespace fedcl::tensor {
 

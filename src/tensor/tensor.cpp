@@ -9,7 +9,7 @@
 #include "common/error.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
-#include "tensor/simd.h"
+#include "common/simd.h"
 
 namespace fedcl::tensor {
 
@@ -212,15 +212,6 @@ Tensor& Tensor::scale_(float s) {
   return *this;
 }
 
-Tensor& Tensor::add_gaussian_noise_(Rng& rng, float stddev) {
-  FEDCL_CHECK_GE(stddev, 0.0f);
-  if (stddev == 0.0f) return *this;
-  float* p = data();
-  for (std::int64_t i = 0; i < numel_; ++i)
-    p[i] += static_cast<float>(rng.normal(0.0, stddev));
-  return *this;
-}
-
 Tensor& Tensor::clamp_(float lo, float hi) {
   FEDCL_CHECK_LE(lo, hi);
   float* p = data();
@@ -354,7 +345,7 @@ constexpr std::int64_t kNtPackRows = 16;
 // remainder all issue the same per-element multiply-add sequence — so
 // results do not depend on how rows are partitioned across threads.
 // FMA contraction may round intermediate products differently across
-// the FEDCL_KERNEL_CLONES ISA levels (tensor/simd.h), which stays
+// the FEDCL_KERNEL_CLONES ISA levels (common/simd.h), which stays
 // within the library-wide float tolerance.
 typedef float vf8
     __attribute__((vector_size(32), aligned(4), may_alias));

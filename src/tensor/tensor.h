@@ -65,7 +65,6 @@ class Tensor {
   Tensor& fill_(float value);
   Tensor& add_(const Tensor& other, float alpha = 1.0f);  // this += alpha*other
   Tensor& scale_(float s);
-  Tensor& add_gaussian_noise_(Rng& rng, float stddev);
   Tensor& clamp_(float lo, float hi);
 
   // ---- reductions over all elements ----

@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "common/error.h"
-#include "common/rng.h"
 
 namespace fedcl::tensor::list {
 
@@ -29,10 +28,6 @@ void add_(TensorList& a, const TensorList& b, float alpha) {
 
 void scale_(TensorList& a, float s) {
   for (Tensor& t : a) t.scale_(s);
-}
-
-void add_gaussian_noise_(TensorList& a, Rng& rng, float stddev) {
-  for (Tensor& t : a) t.add_gaussian_noise_(rng, stddev);
 }
 
 double l2_norm(const TensorList& a) {

@@ -210,7 +210,19 @@ TEST(Accounting, Validation) {
                          .total_clients = 10,
                          .local_iterations = 1,
                          .rounds = 1};
-  EXPECT_THROW(account_privacy(too_big), Error);  // B*Kt > N
+  // B*Kt > N is not malformed: there is no instance-level sampling
+  // rate, so the Fed-CDP fields are undefined, while Fed-SDP's
+  // client-level budget (q = Kt/K) is reported.
+  const PrivacyReport over = account_privacy(too_big);
+  EXPECT_FALSE(over.instance_level_defined);
+  EXPECT_TRUE(std::isnan(over.fed_cdp_instance_epsilon));
+  EXPECT_TRUE(std::isnan(over.fed_cdp_client_epsilon));
+  EXPECT_TRUE(std::isfinite(over.fed_sdp_client_epsilon));
+  EXPECT_GT(over.fed_sdp_client_epsilon, 0.0);
+  const PrivacyRoundSeries series = epsilon_round_series(too_big);
+  ASSERT_EQ(series.instance_epsilon.size(), 1u);
+  EXPECT_TRUE(std::isnan(series.instance_epsilon[0]));
+  EXPECT_EQ(series.client_epsilon.back(), over.fed_sdp_client_epsilon);
 }
 
 TEST(Accounting, FedSdpNoInstanceLevel) {

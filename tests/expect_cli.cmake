@@ -1,0 +1,22 @@
+# Runs one CLI invocation and checks its outcome, for ctests that need
+# more than a zero exit:
+#   cmake -DEXE=<binary> -DARGS="<space-separated args>"
+#         -DEXPECT_EXIT=<code> -DEXPECT=<regex> [-DFORBID=<regex>]
+#         -P expect_cli.cmake
+# Passes when the exit code equals EXPECT_EXIT, the combined
+# stdout+stderr matches EXPECT, and (if given) nothing matches FORBID.
+separate_arguments(arg_list UNIX_COMMAND "${ARGS}")
+execute_process(COMMAND "${EXE}" ${arg_list}
+                RESULT_VARIABLE rc
+                OUTPUT_VARIABLE out
+                ERROR_VARIABLE err)
+set(all "${out}${err}")
+if(NOT rc STREQUAL "${EXPECT_EXIT}")
+  message(FATAL_ERROR "exit ${rc}, expected ${EXPECT_EXIT}:\n${all}")
+endif()
+if(NOT all MATCHES "${EXPECT}")
+  message(FATAL_ERROR "output does not match '${EXPECT}':\n${all}")
+endif()
+if(DEFINED FORBID AND all MATCHES "${FORBID}")
+  message(FATAL_ERROR "output matches forbidden '${FORBID}':\n${all}")
+endif()

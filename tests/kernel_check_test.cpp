@@ -5,6 +5,8 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <iterator>
 #include <vector>
 
 #include "common/philox.h"
@@ -310,7 +312,6 @@ TEST(PhiloxNoise, IndependentOfVisitOrder) {
 }
 
 TEST(PhiloxNoise, MechanismBatchMatchesExampleLoopBitwise) {
-  dp::set_noise_mode(dp::NoiseMode::kCounter);
   const dp::GaussianMechanism mechanism(/*noise_scale=*/2.0,
                                         /*sensitivity=*/1.5);
   const std::int64_t batch = 5;
@@ -330,6 +331,145 @@ TEST(PhiloxNoise, MechanismBatchMatchesExampleLoopBitwise) {
     for (std::int64_t i = 0; i < batched.rows[p].numel(); ++i) {
       ASSERT_EQ(batched.rows[p].at(i), looped.rows[p].at(i))
           << "p " << p << " i " << i;
+    }
+  }
+}
+
+// Every instruction-set build of the noise kernel the host can run,
+// then the dispatched entry point (kBaseline stands in for it below).
+std::vector<NoiseIsa> supported_noise_isas() {
+  std::vector<NoiseIsa> isas;
+  for (NoiseIsa isa : {NoiseIsa::kBaseline, NoiseIsa::kAvx2,
+                       NoiseIsa::kAvx512}) {
+    if (noise_isa_supported(isa)) isas.push_back(isa);
+  }
+  return isas;
+}
+
+std::uint32_t float_bits(float x) {
+  std::uint32_t b;
+  std::memcpy(&b, &x, sizeof b);
+  return b;
+}
+
+TEST(PhiloxNoise, FastFillMatchesScalarReferenceOnEveryIsa) {
+  const std::uint64_t key = 0x0123456789ABCDEFull;
+  const std::uint64_t stream = 5;
+  const CounterNoise noise(key);
+  for (const std::int64_t n : {0, 1, 3, 4, 5, 63, 64, 65, 4099}) {
+    std::vector<float> base(static_cast<std::size_t>(n));
+    for (std::int64_t i = 0; i < n; ++i)
+      base[static_cast<std::size_t>(i)] = 0.01f * static_cast<float>(i % 97);
+    auto check = [&](const std::vector<float>& zeros_fill,
+                     const std::vector<float>& fused_fill,
+                     const char* which) {
+      for (std::int64_t i = 0; i < n; ++i) {
+        const std::size_t u = static_cast<std::size_t>(i);
+        const float z = static_cast<float>(
+            noise.normal(stream, static_cast<std::uint64_t>(i)));
+        ASSERT_EQ(float_bits(zeros_fill[u]), float_bits(z))
+            << which << " n " << n << " element " << i;
+        // d * scale + stddev * z with every product rounded on its own.
+        volatile float scaled = base[u] * 0.75f;
+        volatile float noised = 2.5f * z;
+        const float expected = scaled + noised;
+        ASSERT_EQ(float_bits(fused_fill[u]), float_bits(expected))
+            << which << " n " << n << " element " << i;
+      }
+    };
+    for (NoiseIsa isa : supported_noise_isas()) {
+      std::vector<float> zeros(static_cast<std::size_t>(n), 0.0f);
+      scale_add_normal(isa, key, stream, 0, zeros.data(), n, 1.0f, 1.0f);
+      std::vector<float> fused = base;
+      scale_add_normal(isa, key, stream, 0, fused.data(), n, 0.75f, 2.5f);
+      check(zeros, fused, "isa build");
+    }
+    std::vector<float> zeros(static_cast<std::size_t>(n), 0.0f);
+    noise.add_scaled(zeros.data(), n, stream, 1.0);
+    std::vector<float> fused = base;
+    noise.scale_add(fused.data(), n, stream, 0.75f, 2.5f);
+    check(zeros, fused, "dispatched");
+  }
+}
+
+TEST(PhiloxNoise, SlicedFillMatchesWholeFill) {
+  // Any cut of the element range — inside a 64-element group or on
+  // its edge — lays down the same bits as one whole fill.
+  const CounterNoise noise(77);
+  const std::int64_t n = 4099;
+  std::vector<float> whole(static_cast<std::size_t>(n), 1.0f);
+  noise.scale_add(whole.data(), n, 2, 0.5f, 3.0f);
+  std::vector<float> sliced(static_cast<std::size_t>(n), 1.0f);
+  const std::int64_t cuts[] = {0, 1, 37, 64, 100, 1000, 1024, 4097, n};
+  for (std::size_t c = 0; c + 1 < std::size(cuts); ++c) {
+    const std::int64_t b = cuts[c], e = cuts[c + 1];
+    noise.scale_add(sliced.data() + b, e - b, 2, 0.5f, 3.0f,
+                    static_cast<std::uint64_t>(b));
+  }
+  for (std::int64_t i = 0; i < n; ++i) {
+    const std::size_t u = static_cast<std::size_t>(i);
+    ASSERT_EQ(float_bits(sliced[u]), float_bits(whole[u])) << "element " << i;
+  }
+}
+
+TEST(PhiloxNoise, TailReachesSixAndAHalfSigma) {
+  // u1 keeps 31 random bits: the smallest u1 the mapping produces is
+  // 2^-32 (words 0 and 1), so a draw can reach sqrt(64 ln 2) ~ 6.66
+  // sigma; a 24-bit u1 would stop at 5.77.
+  EXPECT_GE(noise_radius(0u), 6.5f);
+  EXPECT_EQ(noise_radius(0u), noise_radius(1u));
+  EXPECT_LT(noise_radius(0u), 6.7f);
+  EXPECT_GT(noise_radius(0u), noise_radius(2u));
+  // u1 = 1 at the other end: radius 0, never NaN.
+  EXPECT_EQ(noise_radius(0xFFFFFFFFu), 0.0f);
+}
+
+TEST(PhiloxNoise, MechanismSanitizeDrawsOneKeyAndIsPoolInvariant) {
+  const dp::GaussianMechanism mechanism(/*noise_scale=*/1.5,
+                                        /*sensitivity=*/2.0);
+  const float stddev = static_cast<float>(mechanism.noise_stddev());
+  // Client updates are sanitized concurrently, one per pool task, as the
+  // trainer's per-client parallel_for does. Each update has a parameter
+  // that is not a whole number of 64-element groups.
+  constexpr std::size_t kClients = 6;
+  auto run = [&](std::size_t n_threads, std::vector<TensorList>& updates) {
+    for (std::size_t c = 0; c < kClients; ++c)
+      updates.push_back({Tensor::zeros({40, 30}), Tensor::zeros({17})});
+    std::vector<std::uint64_t> next_draw(kClients);
+    ThreadPool pool(n_threads);
+    pool.parallel_for(kClients, [&](std::size_t c) {
+      Rng rng(2024 + c);
+      mechanism.sanitize(updates[c], rng);
+      next_draw[c] = rng.next_u64();
+    });
+    for (std::size_t c = 0; c < kClients; ++c) {
+      // Exactly one u64 consumed: the next draw is the reference's second.
+      Rng reference(2024 + c);
+      const CounterNoise noise(reference.next_u64());
+      EXPECT_EQ(next_draw[c], reference.next_u64()) << "client " << c;
+      for (std::size_t p = 0; p < updates[c].size(); ++p) {
+        for (std::int64_t i = 0; i < updates[c][p].numel(); ++i) {
+          const float z = static_cast<float>(
+              noise.normal(p, static_cast<std::uint64_t>(i)));
+          ASSERT_EQ(float_bits(updates[c][p].at(i)), float_bits(stddev * z))
+              << "client " << c << " p " << p << " i " << i;
+        }
+      }
+    }
+  };
+  std::vector<TensorList> u1;
+  run(1, u1);
+  for (const std::size_t n_threads : {2, 8}) {
+    std::vector<TensorList> un;
+    run(n_threads, un);
+    for (std::size_t c = 0; c < kClients; ++c) {
+      for (std::size_t p = 0; p < u1[c].size(); ++p) {
+        for (std::int64_t i = 0; i < u1[c][p].numel(); ++i) {
+          ASSERT_EQ(float_bits(u1[c][p].at(i)), float_bits(un[c][p].at(i)))
+              << n_threads << " threads, client " << c << " p " << p
+              << " i " << i;
+        }
+      }
     }
   }
 }

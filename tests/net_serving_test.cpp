@@ -381,6 +381,27 @@ ServingReport run_with_workers(ServingServer& server, int num_workers) {
   return report;
 }
 
+TEST(NetServing, ListenerShutdownWakesABlockedAccept) {
+  // The serving accept loop waits with no deadline and relies on
+  // shutdown() to end it when the run finishes. A waiter that is never
+  // woken hangs this test instead of passing it.
+  Result<TcpListener> bound = TcpListener::bind(0);
+  ASSERT_TRUE(bound.ok()) << bound.error();
+  TcpListener listener = bound.take();
+  std::atomic<bool> woke{false};
+  std::thread waiter([&] {
+    const TcpConn conn = listener.accept(-1);
+    EXPECT_FALSE(conn.valid());
+    woke = true;
+  });
+  listener.shutdown();
+  waiter.join();
+  EXPECT_TRUE(woke);
+  // Sticky: a later wait returns at once as well, so a shutdown that
+  // lands before the waiter reaches poll() is not lost.
+  EXPECT_FALSE(listener.accept(-1).valid());
+}
+
 TEST(NetServing, RosterTimeoutFailsCleanly) {
   ServingOptions options;
   options.num_workers = 1;
@@ -392,6 +413,22 @@ TEST(NetServing, RosterTimeoutFailsCleanly) {
   EXPECT_FALSE(report.ok);
   EXPECT_NE(report.error.find("roster incomplete"), std::string::npos)
       << report.error;
+}
+
+TEST(NetServing, SecondRunFailsFast) {
+  // A finished run has shut its listener down for good; a second run()
+  // reports that instead of waiting on a listener that cannot accept.
+  ServingOptions options;
+  options.num_workers = 1;
+  options.accept_timeout_ms = 50;
+  Result<std::unique_ptr<ServingServer>> server =
+      ServingServer::create(sample_descriptor(), options);
+  ASSERT_TRUE(server.ok()) << server.error();
+  EXPECT_FALSE(server.value()->run().ok);
+  ServingReport again = server.value()->run();
+  EXPECT_FALSE(again.ok);
+  EXPECT_NE(again.error.find("runs once"), std::string::npos) << again.error;
+  EXPECT_EQ(again.completed_rounds, 0);
 }
 
 TEST(NetServing, EndToEndBitwiseParityWithInProcessEngine) {

@@ -12,8 +12,17 @@
 #pragma once
 
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
+#if defined(__SANITIZE_THREAD__)
+// Under -fsanitize=thread the ifunc resolvers target_clones emits run
+// during relocation, before the TSan runtime is initialized, and the
+// process segfaults before main(). A TSan build compiles the default
+// body only; the FEDCL_KERNEL_V4 / FEDCL_ISA_* dispatch below is an
+// ordinary run-time branch and keeps working.
+#define FEDCL_KERNEL_CLONES
+#else
 #define FEDCL_KERNEL_CLONES \
   __attribute__((target_clones("default", "arch=haswell", "arch=x86-64-v4")))
+#endif
 // For kernels whose best tile shape differs by ISA (wider registers
 // want wider/taller tiles), clones are not enough: the clone mechanism
 // recompiles one body, it cannot change the blocking. Such kernels

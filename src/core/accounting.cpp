@@ -1,8 +1,10 @@
 #include "core/accounting.h"
 
+#include <cmath>
 #include <limits>
 
 #include "common/error.h"
+#include "common/telemetry.h"
 #include "dp/accountant.h"
 
 namespace fedcl::core {
@@ -87,6 +89,20 @@ PrivacyRoundSeries epsilon_round_series(const FlPrivacySetup& setup) {
   series.instance_epsilon = instance_acc.epsilon_series(
       setup.local_iterations, setup.rounds, setup.delta);
   return series;
+}
+
+void record_epsilon(const PrivacyRoundSeries& series, std::int64_t round) {
+  if (series.client_epsilon.empty()) return;
+  telemetry::Registry& registry = telemetry::global_registry();
+  const auto r = static_cast<std::size_t>(round);
+  auto record = [&](const char* level, double eps) {
+    registry.gauge("dp.epsilon", {{"level", level}}).set(eps);
+    registry.record_point("dp.epsilon", round, eps, {{"level", level}});
+  };
+  if (std::isfinite(series.instance_epsilon[r])) {
+    record("instance", series.instance_epsilon[r]);
+  }
+  record("client", series.client_epsilon[r]);
 }
 
 }  // namespace fedcl::core

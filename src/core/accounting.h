@@ -70,4 +70,10 @@ struct PrivacyRoundSeries {
 
 PrivacyRoundSeries epsilon_round_series(const FlPrivacySetup& setup);
 
+// Publishes round `round` of `series` as the dp.epsilon gauge and
+// series point: level=client always, level=instance only when finite
+// (it is NaN when B*Kt > N). An empty series (non-private run) records
+// nothing.
+void record_epsilon(const PrivacyRoundSeries& series, std::int64_t round);
+
 }  // namespace fedcl::core

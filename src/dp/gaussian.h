@@ -30,18 +30,8 @@ class GaussianMechanism {
   // on which thread runs the call. Used for Fed-SDP's client and server
   // noise.
   void sanitize(TensorList& update, Rng& rng) const;
-  void sanitize(Tensor& update, Rng& rng) const;
-  // One example's gradient on the per-example path: the same single
-  // key draw and fill as sanitize().
-  void sanitize_example(TensorList& grad, Rng& rng) const {
-    sanitize(grad, rng);
-  }
-  // Batched per-example layout: one key per example, drawn in
-  // ascending example order (the same draws as calling
-  // sanitize_example per example), then an order-free parallel fill —
-  // bitwise identical to the per-example loop.
-  void sanitize_per_example(tensor::list::PerExampleGrads& grads,
-                            Rng& rng) const;
+  // Per-example noise (Fed-CDP) does not come through here: it is the
+  // fused clip+noise pass, dp::batch_scale_noise (dp/fused_sanitize.h).
 
   // The minimal sigma that makes one application (epsilon, delta)-DP
   // per Definition 2 / Lemma 1 (valid for 0 < epsilon < 1).

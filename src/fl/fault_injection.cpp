@@ -5,6 +5,7 @@
 
 #include "common/error.h"
 #include "common/rng.h"
+#include "common/telemetry.h"
 
 namespace fedcl::fl {
 
@@ -108,6 +109,28 @@ void flip_random_bits(std::vector<std::uint8_t>& bytes, Rng& rng, int flips) {
   }
 }
 
+void RoundFailureStats::count_injected(FaultType fault) {
+  switch (fault) {
+    case FaultType::kCrash:
+      ++injected_crash;
+      return;
+    case FaultType::kStraggler:
+      ++injected_straggler;
+      return;
+    case FaultType::kCorruptDelta:
+      ++injected_corrupt;
+      return;
+    case FaultType::kBitFlip:
+      ++injected_bit_flip;
+      return;
+    case FaultType::kStaleRound:
+      ++injected_stale;
+      return;
+    case FaultType::kNone:
+      return;
+  }
+}
+
 void RoundFailureStats::accumulate(const RoundFailureStats& other) {
   injected_crash += other.injected_crash;
   injected_straggler += other.injected_straggler;
@@ -128,6 +151,27 @@ void RoundFailureStats::accumulate(const RoundFailureStats& other) {
   fault_accepted_stale += other.fault_accepted_stale;
   retry_attempts += other.retry_attempts;
   reduced_quorum_rounds += other.reduced_quorum_rounds;
+}
+
+void record_failure_counters(const RoundFailureStats& stats) {
+  telemetry::Registry& registry = telemetry::global_registry();
+  auto add = [&registry](const char* name, std::int64_t n,
+                         const telemetry::Labels& labels = {}) {
+    if (n > 0) registry.counter(name, labels).add(n);
+  };
+  add("fl.faults.injected_total", stats.injected_crash, {{"type", "crash"}});
+  add("fl.faults.injected_total", stats.injected_straggler,
+      {{"type", "straggler"}});
+  add("fl.faults.injected_total", stats.injected_corrupt,
+      {{"type", "corrupt"}});
+  add("fl.faults.injected_total", stats.injected_bit_flip,
+      {{"type", "bit-flip"}});
+  add("fl.faults.injected_total", stats.injected_stale, {{"type", "stale"}});
+  add("fl.client.dropouts_total", stats.dropouts);
+  add("fl.client.retried_total", stats.retried_clients);
+  add("fl.transport.rejected_decode_total", stats.rejected_decode);
+  add("fl.retry.attempts_total", stats.retry_attempts);
+  add("fl.retry.expired_total", stats.fault_expired);
 }
 
 }  // namespace fedcl::fl

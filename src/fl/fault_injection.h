@@ -149,7 +149,17 @@ struct RoundFailureStats {
            fault_accepted_stale;
   }
 
+  // Counts one drawn fault instance (kNone counts nothing). Every
+  // instance is counted once, at draw time, so the disposition ledger
+  // can be checked against injected_total().
+  void count_injected(FaultType fault);
   void accumulate(const RoundFailureStats& other);
 };
+
+// Adds one round's failure counts to the process telemetry, shared by
+// every round engine: fl.faults.injected_total by type, and the
+// dropout, resample, decode-rejection, retry and expiry totals. Zero
+// counts are not recorded.
+void record_failure_counters(const RoundFailureStats& stats);
 
 }  // namespace fedcl::fl

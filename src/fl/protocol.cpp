@@ -1,9 +1,11 @@
 #include "fl/protocol.h"
 
+#include <bit>
 #include <cstring>
 #include <limits>
 
 #include "common/error.h"
+#include "common/rng.h"
 
 namespace fedcl::fl {
 
@@ -108,15 +110,51 @@ std::uint64_t fnv1a(const std::uint8_t* data, std::size_t n) {
   return h;
 }
 
+// The FCL1 keystream: byte 8k+j is XORed with byte j (least significant
+// first) of word k, where word k is the SplitMix64 output one step past
+// the state reached by k+1 advances from the key. One word covers 8
+// bytes, so the body is XORed a word at a time; on a little-endian host
+// a memcpy'd word lines its bytes up with that order.
+static_assert(std::endian::native == std::endian::little,
+              "the FCL1 wire (keystream and f32 payload) is little-endian");
+
+std::uint64_t keystream_word(std::uint64_t& state) {
+  splitmix64_step(state);
+  std::uint64_t probe = state;
+  return splitmix64_step(probe);
+}
+
 void apply_keystream(std::vector<std::uint8_t>& bytes, std::uint64_t key) {
   std::uint64_t state = key;
-  for (std::size_t i = 0; i < bytes.size(); ++i) {
-    if (i % 8 == 0) splitmix64_step(state);
-    std::uint64_t probe = state;
-    bytes[i] ^= static_cast<std::uint8_t>(
-        splitmix64_step(probe) >> ((i % 8) * 8));
+  std::uint8_t* p = bytes.data();
+  const std::size_t n = bytes.size();
+  std::size_t i = 0;
+  for (; i + sizeof(std::uint64_t) <= n; i += sizeof(std::uint64_t)) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, p + i, sizeof(word));
+    word ^= keystream_word(state);
+    std::memcpy(p + i, &word, sizeof(word));
+  }
+  if (i < n) {
+    const std::uint64_t word = keystream_word(state);
+    for (std::size_t j = 0; i + j < n; ++j) {
+      p[i + j] ^= static_cast<std::uint8_t>(word >> (j * 8));
+    }
   }
 }
+
+// Encoded size of a tensor-list blob (docs/PROTOCOL.md): u32 count, then
+// per tensor u32 rank, i64 dims and the f32 data.
+std::size_t tensor_list_bytes(const TensorList& list) {
+  std::size_t n = sizeof(std::uint32_t);
+  for (const auto& t : list) {
+    n += sizeof(std::uint32_t) + sizeof(std::int64_t) * t.ndim() +
+         sizeof(float) * static_cast<std::size_t>(t.numel());
+  }
+  return n;
+}
+
+constexpr std::size_t kTagBytes = sizeof(std::uint64_t);
 
 }  // namespace
 
@@ -136,6 +174,7 @@ void append_tensor_list(std::vector<std::uint8_t>& out,
 
 std::vector<std::uint8_t> serialize_tensor_list(const TensorList& list) {
   std::vector<std::uint8_t> out;
+  out.reserve(tensor_list_bytes(list));
   append_tensor_list(out, list);
   return out;
 }
@@ -151,6 +190,10 @@ Result<TensorList> deserialize_tensor_list(ByteSpan bytes) {
 
 std::vector<std::uint8_t> serialize_update(const ClientUpdate& update) {
   std::vector<std::uint8_t> out;
+  // Room for the header, the payload and the tag seal() appends, so
+  // sealing never reallocates and copies the payload.
+  out.reserve(sizeof(update.client_id) + sizeof(update.round) +
+              tensor_list_bytes(update.delta) + kTagBytes);
   append_pod(out, update.client_id);
   append_pod(out, update.round);
   append_tensor_list(out, update.delta);
@@ -194,11 +237,9 @@ std::vector<std::uint8_t> SecureChannel::seal(
 Result<std::vector<std::uint8_t>> SecureChannel::open(
     std::vector<std::uint8_t> sealed) const {
   using R = Result<std::vector<std::uint8_t>>;
-  if (sealed.size() < sizeof(std::uint64_t)) {
-    return R::failure("short ciphertext");
-  }
+  if (sealed.size() < kTagBytes) return R::failure("short ciphertext");
   apply_keystream(sealed, key_);
-  const std::size_t body = sealed.size() - sizeof(std::uint64_t);
+  const std::size_t body = sealed.size() - kTagBytes;
   std::uint64_t tag = 0;
   std::memcpy(&tag, sealed.data() + body, sizeof(tag));
   if (tag != fnv1a(sealed.data(), body)) {
@@ -206,6 +247,18 @@ Result<std::vector<std::uint8_t>> SecureChannel::open(
   }
   sealed.resize(body);
   return sealed;
+}
+
+Result<ClientUpdate> deliver_in_process(ClientUpdate update, FaultType fault,
+                                        std::uint64_t channel_key,
+                                        Rng& fault_rng) {
+  if (fault != FaultType::kBitFlip) return update;
+  const SecureChannel channel(channel_key);
+  std::vector<std::uint8_t> wire = channel.seal(serialize_update(update));
+  flip_random_bits(wire, fault_rng);
+  Result<std::vector<std::uint8_t>> opened = channel.open(std::move(wire));
+  if (!opened.ok()) return Result<ClientUpdate>::failure(opened.error());
+  return deserialize_update(opened.value());
 }
 
 }  // namespace fedcl::fl

@@ -3,12 +3,19 @@
 //
 // The paper's threat model assumes client-server communication is
 // encrypted yet gradients still leak at the endpoints. SecureChannel
-// makes that assumption concrete: updates are sealed in transit, and
-// the three leakage observation points (type-0 at the server after
-// open(), type-1/2 at the client before seal()) are explicit in the
-// training loop. The cipher is a keystream XOR with an integrity tag —
+// makes that assumption concrete: the three leakage observation points
+// are type-0 at the server after open() and type-1/2 at the client
+// before seal(). The cipher is a keystream XOR with an integrity tag —
 // deliberately simple and NOT real cryptography; transport security is
 // not what the paper (or this reproduction) evaluates.
+//
+// Where the bytes exist: the socket serving path (net/client_worker,
+// net/serving_server) seals and opens every update. The in-process
+// engines (fl/trainer, fl/scale_engine) hand an update over through
+// deliver_in_process(), which runs serialize -> seal -> open ->
+// deserialize only for a bit-flip fault attempt, the one fault that
+// acts on bytes; every other update moves on as tensors, bitwise what
+// the round trip would have returned.
 //
 // Bytes arriving at the server cross a trust boundary: open() and
 // deserialize_update() return a Result instead of throwing, so a
@@ -20,6 +27,7 @@
 #include <vector>
 
 #include "common/error.h"
+#include "fl/fault_injection.h"
 #include "tensor/tensor_list.h"
 
 namespace fedcl::fl {
@@ -85,5 +93,16 @@ class SecureChannel {
  private:
   std::uint64_t key_;
 };
+
+// In-process hand-over of one client update under its dispatch
+// attempt's planned fault. A kBitFlip attempt travels
+// serialize -> seal -> flip_random_bits (drawing from `fault_rng`) ->
+// open -> deserialize and fails with the decode error open() reports.
+// Every other update is returned as is: the round trip is lossless, and
+// corrupt-delta and stale-round faults act on the tensors or the round
+// tag before delivery, not on bytes.
+Result<ClientUpdate> deliver_in_process(ClientUpdate update, FaultType fault,
+                                        std::uint64_t channel_key,
+                                        Rng& fault_rng);
 
 }  // namespace fedcl::fl

@@ -28,38 +28,6 @@ namespace fedcl::fl {
 
 namespace {
 
-// Same guard as the classic engine: in-model RNG state (Dropout) makes
-// scratch-model sharing schedule-dependent, so those models serialize.
-bool stochastic_model(const nn::Sequential& model) {
-  for (std::size_t i = 0; i < model.layer_count(); ++i) {
-    if (dynamic_cast<const nn::Dropout*>(&model.layer(i)) != nullptr)
-      return true;
-  }
-  return false;
-}
-
-void count_injected(RoundFailureStats& stats, FaultType fault) {
-  switch (fault) {
-    case FaultType::kCrash:
-      ++stats.injected_crash;
-      return;
-    case FaultType::kStraggler:
-      ++stats.injected_straggler;
-      return;
-    case FaultType::kCorruptDelta:
-      ++stats.injected_corrupt;
-      return;
-    case FaultType::kBitFlip:
-      ++stats.injected_bit_flip;
-      return;
-    case FaultType::kStaleRound:
-      ++stats.injected_stale;
-      return;
-    case FaultType::kNone:
-      return;
-  }
-}
-
 // One planned dispatch: the client to run and the final fault of its
 // crash-redraw chain (resolved serially, like the classic engine).
 struct Attempt {
@@ -133,7 +101,7 @@ FlRunResult run_streaming_experiment(const FlExperimentConfig& config,
   ThreadPool& pool = compute_pool();
   const bool parallel_clients = config.parallel_clients && pool.size() > 1 &&
                                 !policy.order_dependent() &&
-                                !stochastic_model(*model);
+                                !nn::has_stochastic_layer(*model);
   std::vector<std::shared_ptr<nn::Sequential>> slot_models;
   if (parallel_clients) {
     const std::size_t slots =
@@ -173,10 +141,7 @@ FlRunResult run_streaming_experiment(const FlExperimentConfig& config,
       .delta = config.delta,
   };
   core::PrivacyRoundSeries eps_series;
-  const double instance_q =
-      static_cast<double>(config.bench.batch_size * config.clients_per_round) /
-      static_cast<double>(train->size());
-  if (config.noise_scale > 0.0 && instance_q <= 1.0) {
+  if (config.noise_scale > 0.0) {
     eps_series = core::epsilon_round_series(result.privacy_setup);
     registry.gauge("dp.delta").set(config.delta);
   }
@@ -282,14 +247,14 @@ FlRunResult run_streaming_experiment(const FlExperimentConfig& config,
       while ((a.fault == FaultType::kCorruptDelta ||
               a.fault == FaultType::kBitFlip) &&
              a.attempt + 1 < config.retry.max_attempts) {
-        count_injected(out.stats, a.fault);
+        out.stats.count_injected(a.fault);
         ++out.stats.fault_retried;
         ++out.stats.retry_attempts;
         ++a.attempt;
         a.fault = plan.fault_for_attempt(t, id, a.attempt);
         if (a.fault == FaultType::kCrash ||
             a.fault == FaultType::kStraggler) {
-          count_injected(out.stats, a.fault);
+          out.stats.count_injected(a.fault);
           ++out.stats.fault_expired;
           ++out.transient_failed;
           return;
@@ -300,26 +265,13 @@ FlRunResult run_streaming_experiment(const FlExperimentConfig& config,
           VirtualClientProvider::delivery_fault_stream(round_rng, t, id);
       if (a.fault == FaultType::kCorruptDelta) {
         corrupt_delta(outcome.update.delta, frng);
-        ++out.stats.injected_corrupt;
       } else if (a.fault == FaultType::kStaleRound) {
         outcome.update.round = t - 1;
-        ++out.stats.injected_stale;
       }
-
-      SecureChannel channel(client_channel_key(config.seed, id));
-      std::vector<std::uint8_t> wire =
-          channel.seal(serialize_update(outcome.update));
-      if (a.fault == FaultType::kBitFlip) {
-        flip_random_bits(wire, frng);
-        ++out.stats.injected_bit_flip;
-      }
-      Result<std::vector<std::uint8_t>> opened = channel.open(std::move(wire));
-      if (!opened.ok()) {
-        ++out.stats.rejected_decode;
-        if (a.fault != FaultType::kNone) ++out.stats.fault_screened;
-        return;
-      }
-      Result<ClientUpdate> decoded = deserialize_update(opened.value());
+      out.stats.count_injected(a.fault);
+      Result<ClientUpdate> decoded =
+          deliver_in_process(std::move(outcome.update), a.fault,
+                             client_channel_key(config.seed, id), frng);
       if (!decoded.ok()) {
         ++out.stats.rejected_decode;
         if (a.fault != FaultType::kNone) ++out.stats.fault_screened;
@@ -528,44 +480,8 @@ FlRunResult run_streaming_experiment(const FlExperimentConfig& config,
         static_cast<double>(stats.rejected_shape + stats.rejected_non_finite +
                             stats.rejected_norm_outlier +
                             stats.rejected_stale + stats.rejected_decode));
-    if (!eps_series.instance_epsilon.empty()) {
-      const double inst_eps =
-          eps_series.instance_epsilon[static_cast<std::size_t>(t)];
-      const double client_eps =
-          eps_series.client_epsilon[static_cast<std::size_t>(t)];
-      registry.gauge("dp.epsilon", {{"level", "instance"}}).set(inst_eps);
-      registry.gauge("dp.epsilon", {{"level", "client"}}).set(client_eps);
-      registry.record_point("dp.epsilon", t, inst_eps,
-                            {{"level", "instance"}});
-      registry.record_point("dp.epsilon", t, client_eps,
-                            {{"level", "client"}});
-    }
-    auto count_fault = [&registry](const char* type, std::int64_t n) {
-      if (n > 0) {
-        registry.counter("fl.faults.injected_total", {{"type", type}}).add(n);
-      }
-    };
-    count_fault("crash", stats.injected_crash);
-    count_fault("straggler", stats.injected_straggler);
-    count_fault("corrupt", stats.injected_corrupt);
-    count_fault("bit-flip", stats.injected_bit_flip);
-    count_fault("stale", stats.injected_stale);
-    if (stats.dropouts > 0) {
-      registry.counter("fl.client.dropouts_total").add(stats.dropouts);
-    }
-    if (stats.retried_clients > 0) {
-      registry.counter("fl.client.retried_total").add(stats.retried_clients);
-    }
-    if (stats.rejected_decode > 0) {
-      registry.counter("fl.transport.rejected_decode_total")
-          .add(stats.rejected_decode);
-    }
-    if (stats.retry_attempts > 0) {
-      registry.counter("fl.retry.attempts_total").add(stats.retry_attempts);
-    }
-    if (stats.fault_expired > 0) {
-      registry.counter("fl.retry.expired_total").add(stats.fault_expired);
-    }
+    core::record_epsilon(eps_series, t);
+    record_failure_counters(stats);
 
     if (!applied) {
       server.skip_round();

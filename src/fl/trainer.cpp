@@ -25,46 +25,6 @@
 
 namespace fedcl::fl {
 
-namespace {
-
-// Stochastic layers (Dropout) hold their own RNG stream inside the
-// model, so sharing scratch models across differently-scheduled
-// clients would make the stream order depend on the schedule.
-bool has_stochastic_layer(const nn::Sequential& model) {
-  for (std::size_t i = 0; i < model.layer_count(); ++i) {
-    if (dynamic_cast<const nn::Dropout*>(&model.layer(i)) != nullptr)
-      return true;
-  }
-  return false;
-}
-
-// Every drawn fault instance is counted as injected exactly once, at
-// draw time, so the disposition bijection (fault_injection.h) can be
-// checked against injected_total().
-void count_injected_fault(RoundFailureStats& stats, FaultType fault) {
-  switch (fault) {
-    case FaultType::kCrash:
-      ++stats.injected_crash;
-      return;
-    case FaultType::kStraggler:
-      ++stats.injected_straggler;
-      return;
-    case FaultType::kCorruptDelta:
-      ++stats.injected_corrupt;
-      return;
-    case FaultType::kBitFlip:
-      ++stats.injected_bit_flip;
-      return;
-    case FaultType::kStaleRound:
-      ++stats.injected_stale;
-      return;
-    case FaultType::kNone:
-      return;
-  }
-}
-
-}  // namespace
-
 FlRunResult run_experiment(const FlExperimentConfig& config,
                            const core::PrivacyPolicy& policy) {
   if (config.streaming_aggregation) {
@@ -120,7 +80,7 @@ FlRunResult run_experiment(const FlExperimentConfig& config,
   ThreadPool& pool = compute_pool();
   const bool parallel_clients = config.parallel_clients && pool.size() > 1 &&
                                 !policy.order_dependent() &&
-                                !has_stochastic_layer(*model);
+                                !nn::has_stochastic_layer(*model);
   // One private scratch model per concurrent training slot. Their
   // initial weights are irrelevant (run_round installs the global
   // weights first), so each is built from a throwaway fork.
@@ -177,13 +137,10 @@ FlRunResult run_experiment(const FlExperimentConfig& config,
   };
   // Cumulative per-round privacy budget, precomputed in one accountant
   // pass (bitwise identical to calling epsilon() after every round).
-  // Skipped when the setup falls outside the accountant's domain
-  // (sigma <= 0, or B*Kt exceeding the dataset).
+  // Skipped for a non-private run (sigma <= 0); with B*Kt > N only the
+  // client level is defined (core::record_epsilon).
   core::PrivacyRoundSeries eps_series;
-  const double instance_q =
-      static_cast<double>(config.bench.batch_size * config.clients_per_round) /
-      static_cast<double>(train->size());
-  if (config.noise_scale > 0.0 && instance_q <= 1.0) {
+  if (config.noise_scale > 0.0) {
     eps_series = core::epsilon_round_series(result.privacy_setup);
     registry.gauge("dp.delta").set(config.delta);
   }
@@ -335,7 +292,7 @@ FlRunResult run_experiment(const FlExperimentConfig& config,
         for (;;) {
           const FaultType f = plan.fault_for_attempt(
               t, static_cast<std::int64_t>(ci), attempt);
-          count_injected_fault(stats, f);
+          stats.count_injected(f);
           const double lat = rpolicy.latency_ms(f, lat_rng);
           if (rpolicy.transient(f) &&
               attempt + 1 < config.retry.max_attempts) {
@@ -387,20 +344,10 @@ FlRunResult run_experiment(const FlExperimentConfig& config,
         } else if (a.fault == FaultType::kStaleRound) {
           a.outcome.update.round = t - 1;  // replay of the prior round
         }
-        SecureChannel channel(
-            client_channel_key(config.seed, static_cast<std::int64_t>(a.ci)));
-        std::vector<std::uint8_t> wire =
-            channel.seal(serialize_update(a.outcome.update));
-        if (a.fault == FaultType::kBitFlip) {
-          flip_random_bits(wire, frng);
-        }
-        Result<std::vector<std::uint8_t>> opened =
-            channel.open(std::move(wire));
-        if (!opened.ok()) {
-          a.decode_failed = true;
-          return;
-        }
-        Result<ClientUpdate> decoded = deserialize_update(opened.value());
+        Result<ClientUpdate> decoded = deliver_in_process(
+            std::move(a.outcome.update), a.fault,
+            client_channel_key(config.seed, static_cast<std::int64_t>(a.ci)),
+            frng);
         if (!decoded.ok()) {
           a.decode_failed = true;
           return;
@@ -528,42 +475,8 @@ FlRunResult run_experiment(const FlExperimentConfig& config,
                             static_cast<double>(round_accepted));
       registry.record_point("fl.round.rejected", t,
                             static_cast<double>(round_rejected));
-      if (!eps_series.instance_epsilon.empty()) {
-        const double inst_eps =
-            eps_series.instance_epsilon[static_cast<std::size_t>(t)];
-        const double client_eps =
-            eps_series.client_epsilon[static_cast<std::size_t>(t)];
-        registry.gauge("dp.epsilon", {{"level", "instance"}}).set(inst_eps);
-        registry.gauge("dp.epsilon", {{"level", "client"}}).set(client_eps);
-        registry.record_point("dp.epsilon", t, inst_eps,
-                              {{"level", "instance"}});
-        registry.record_point("dp.epsilon", t, client_eps,
-                              {{"level", "client"}});
-      }
-      auto count_fault = [&registry](const char* type, std::int64_t n) {
-        if (n > 0) {
-          registry.counter("fl.faults.injected_total", {{"type", type}})
-              .add(n);
-        }
-      };
-      count_fault("crash", stats.injected_crash);
-      count_fault("straggler", stats.injected_straggler);
-      count_fault("corrupt", stats.injected_corrupt);
-      count_fault("bit-flip", stats.injected_bit_flip);
-      count_fault("stale", stats.injected_stale);
-      if (stats.dropouts > 0) {
-        registry.counter("fl.client.dropouts_total").add(stats.dropouts);
-      }
-      if (stats.rejected_decode > 0) {
-        registry.counter("fl.transport.rejected_decode_total")
-            .add(stats.rejected_decode);
-      }
-      if (stats.retry_attempts > 0) {
-        registry.counter("fl.retry.attempts_total").add(stats.retry_attempts);
-      }
-      if (stats.fault_expired > 0) {
-        registry.counter("fl.retry.expired_total").add(stats.fault_expired);
-      }
+      core::record_epsilon(eps_series, t);
+      record_failure_counters(stats);
 
       if (!applied) {
         // Nothing arrived and nothing was buffered: a genuinely dropped
@@ -779,7 +692,7 @@ FlRunResult run_experiment(const FlExperimentConfig& config,
                                            a.attempt);
           if (a.fault == FaultType::kCrash ||
               a.fault == FaultType::kStraggler) {
-            count_injected_fault(stats, a.fault);
+            stats.count_injected(a.fault);
             ++stats.fault_expired;
             ++transient_failed;
             expired_in_redispatch = true;
@@ -796,26 +709,16 @@ FlRunResult run_experiment(const FlExperimentConfig& config,
           outcome.update.round = t - 1;  // replayed from the prior round
           ++stats.injected_stale;
           ++stats.fault_screened;  // wrong round tag: batch screening rejects
-        }
-
-        // Transport: serialize -> seal -> (hostile channel) -> open ->
-        // deserialize. A decode failure drops this client's update only.
-        SecureChannel channel(
-            client_channel_key(config.seed, static_cast<std::int64_t>(a.ci)));
-        std::vector<std::uint8_t> wire =
-            channel.seal(serialize_update(outcome.update));
-        if (a.fault == FaultType::kBitFlip) {
-          flip_random_bits(wire, fault_rng);
+        } else if (a.fault == FaultType::kBitFlip) {
           ++stats.injected_bit_flip;
           ++stats.fault_screened;  // integrity tag: open() fails
         }
-        Result<std::vector<std::uint8_t>> opened =
-            channel.open(std::move(wire));
-        if (!opened.ok()) {
-          ++stats.rejected_decode;
-          continue;
-        }
-        Result<ClientUpdate> decoded = deserialize_update(opened.value());
+        // Transport (protocol.h): a decode failure drops this client's
+        // update only.
+        Result<ClientUpdate> decoded = deliver_in_process(
+            std::move(outcome.update), a.fault,
+            client_channel_key(config.seed, static_cast<std::int64_t>(a.ci)),
+            fault_rng);
         if (!decoded.ok()) {
           ++stats.rejected_decode;
           continue;
@@ -920,44 +823,8 @@ FlRunResult run_experiment(const FlExperimentConfig& config,
         static_cast<double>(stats.rejected_shape + stats.rejected_non_finite +
                             stats.rejected_norm_outlier +
                             stats.rejected_stale + stats.rejected_decode));
-    if (!eps_series.instance_epsilon.empty()) {
-      const double inst_eps =
-          eps_series.instance_epsilon[static_cast<std::size_t>(t)];
-      const double client_eps =
-          eps_series.client_epsilon[static_cast<std::size_t>(t)];
-      registry.gauge("dp.epsilon", {{"level", "instance"}}).set(inst_eps);
-      registry.gauge("dp.epsilon", {{"level", "client"}}).set(client_eps);
-      registry.record_point("dp.epsilon", t, inst_eps,
-                            {{"level", "instance"}});
-      registry.record_point("dp.epsilon", t, client_eps,
-                            {{"level", "client"}});
-    }
-    auto count_fault = [&registry](const char* type, std::int64_t n) {
-      if (n > 0) {
-        registry.counter("fl.faults.injected_total", {{"type", type}}).add(n);
-      }
-    };
-    count_fault("crash", stats.injected_crash);
-    count_fault("straggler", stats.injected_straggler);
-    count_fault("corrupt", stats.injected_corrupt);
-    count_fault("bit-flip", stats.injected_bit_flip);
-    count_fault("stale", stats.injected_stale);
-    if (stats.dropouts > 0) {
-      registry.counter("fl.client.dropouts_total").add(stats.dropouts);
-    }
-    if (stats.retried_clients > 0) {
-      registry.counter("fl.client.retried_total").add(stats.retried_clients);
-    }
-    if (stats.rejected_decode > 0) {
-      registry.counter("fl.transport.rejected_decode_total")
-          .add(stats.rejected_decode);
-    }
-    if (stats.retry_attempts > 0) {
-      registry.counter("fl.retry.attempts_total").add(stats.retry_attempts);
-    }
-    if (stats.fault_expired > 0) {
-      registry.counter("fl.retry.expired_total").add(stats.fault_expired);
-    }
+    core::record_epsilon(eps_series, t);
+    record_failure_counters(stats);
 
     if (!applied) {
       // Graceful degradation: the round produces no aggregate — either

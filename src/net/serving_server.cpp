@@ -255,23 +255,6 @@ ServingReport ServingServer::run() {
     stats.fault_expired += static_cast<std::int64_t>(n);
   };
 
-  auto record_round_counters = [&](const fl::RoundFailureStats& stats) {
-    auto count_fault = [&](const char* type, std::int64_t n) {
-      if (n > 0) {
-        reg.counter("fl.faults.injected_total", {{"type", type}}).add(n);
-      }
-    };
-    count_fault("crash", stats.injected_crash);
-    count_fault("straggler", stats.injected_straggler);
-    if (stats.rejected_decode > 0) {
-      reg.counter("fl.transport.rejected_decode_total")
-          .add(stats.rejected_decode);
-    }
-    if (stats.fault_expired > 0) {
-      reg.counter("fl.retry.expired_total").add(stats.fault_expired);
-    }
-  };
-
   // Opens and deserializes one UpdateMsg through the per-client channel
   // (docs/PROTOCOL.md §4). nullopt = decode rejection, already tallied.
   auto open_update = [&](UpdateMsg msg, std::size_t worker,
@@ -479,7 +462,7 @@ ServingReport ServingServer::run() {
                        static_cast<double>(round_accepted));
       reg.record_point("fl.round.rejected", t,
                        static_cast<double>(stats.rejected_total()));
-      record_round_counters(stats);
+      fl::record_failure_counters(stats);
 
       if (!applied) {
         server.skip_round();
@@ -776,7 +759,7 @@ ServingReport ServingServer::run() {
                        static_cast<double>(round_accepted));
       reg.record_point("fl.round.rejected", t,
                        static_cast<double>(round_rejected));
-      record_round_counters(stats);
+      fl::record_failure_counters(stats);
 
       if (!applied) {
         ++report.dropped_rounds;
@@ -830,7 +813,7 @@ ServingReport ServingServer::run() {
       }
       w.outstanding.clear();
     }
-    record_round_counters(drain_stats);
+    fl::record_failure_counters(drain_stats);
     report.failures.accumulate(drain_stats);
     report.updates_accepted += drain_accepted;
     report.updates_rejected += drain_rejected;

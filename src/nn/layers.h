@@ -112,6 +112,12 @@ class Dropout : public Layer {
   Rng rng_;
 };
 
+// True when `model` holds a Dropout layer. Its RNG stream lives inside
+// the model, so sharing scratch models across differently-scheduled
+// clients would make the stream order depend on the schedule; the
+// round engines train such models serially.
+bool has_stochastic_layer(const Sequential& model);
+
 // [N,H,W,C] -> [N, H*W*C].
 class Flatten : public Layer {
  public:

@@ -93,8 +93,9 @@ TEST(Gaussian, NoiseStddevMatchesSigmaTimesS) {
   EXPECT_DOUBLE_EQ(mech.noise_stddev(), 24.0);
 
   Rng rng(1);
-  Tensor t = Tensor::zeros({40000});
-  mech.sanitize(t, rng);
+  TensorList update = {Tensor::zeros({40000})};
+  mech.sanitize(update, rng);
+  const Tensor& t = update[0];
   double mean = t.sum() / t.numel();
   double var = 0;
   for (std::int64_t i = 0; i < t.numel(); ++i) var += t.at(i) * t.at(i);

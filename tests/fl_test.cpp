@@ -12,6 +12,7 @@
 #include "fl/client.h"
 #include "fl/compression.h"
 #include "fl/dssgd.h"
+#include "fl/fault_injection.h"
 #include "fl/protocol.h"
 #include "fl/server.h"
 #include "fl/trainer.h"
@@ -86,6 +87,104 @@ TEST(SecureChannel, EndToEndWithUpdates) {
           channel.open(channel.seal(serialize_update(u))).take())
           .take();
   EXPECT_TRUE(tensor::list::allclose(received.delta, u.delta));
+}
+
+// The FCL1 wire's sealed bytes, captured from the byte-at-a-time
+// keystream: any change to the keystream or the tag shows here.
+TEST(SecureChannel, SealBytesPinned) {
+  auto payload = [](std::size_t n) {
+    std::vector<std::uint8_t> p(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      p[i] = static_cast<std::uint8_t>((i * 131 + 7) & 0xff);
+    }
+    return p;
+  };
+  const SecureChannel channel(0x5EC2E7);
+  const std::vector<std::pair<std::size_t, std::vector<std::uint8_t>>>
+      pinned = {
+          {0, {0xc2, 0x80, 0x19, 0x14, 0x73, 0x33, 0xd0, 0x9a}},
+          {1, {0xe0, 0x65, 0x89, 0x91, 0x11, 0xe3, 0x98, 0x32, 0x2f}},
+          {7, {0xe0, 0x29, 0x36, 0x00, 0x84, 0x39, 0x3b, 0x6a, 0xb2, 0x40,
+               0x0b, 0x11, 0x0b, 0xf9, 0x60}},
+          {8, {0xe0, 0x29, 0x36, 0x00, 0x84, 0x39, 0x3b, 0xcd, 0x45, 0x29,
+               0x5e, 0xd3, 0xbb, 0xbb, 0xa3, 0x18}},
+          {9, {0xe0, 0x29, 0x36, 0x00, 0x84, 0x39, 0x3b, 0xcd, 0x9f, 0x56,
+               0x35, 0x36, 0xa8, 0x2d, 0x12, 0x54, 0x68}},
+          {15, {0xe0, 0x29, 0x36, 0x00, 0x84, 0x39, 0x3b, 0xcd, 0x9f, 0x9a,
+                0x45, 0xe6, 0xb3, 0x07, 0x8f, 0x90, 0x82, 0x71, 0x0f, 0xd1,
+                0xa3, 0xc4, 0x92}},
+          {16, {0xe0, 0x29, 0x36, 0x00, 0x84, 0x39, 0x3b, 0xcd, 0x9f, 0x9a,
+                0x45, 0xe6, 0xb3, 0x07, 0x8f, 0x97, 0x3d, 0xd5, 0x7f, 0x67,
+                0x68, 0xe0, 0x7b, 0x64}},
+          {17, {0xe0, 0x29, 0x36, 0x00, 0x84, 0x39, 0x3b, 0xcd, 0x9f, 0x9a,
+                0x45, 0xe6, 0xb3, 0x07, 0x8f, 0x97, 0xef, 0xfa, 0x9f, 0x09,
+                0x15, 0xa5, 0xf1, 0x3c, 0xba}},
+      };
+  for (const auto& [n, expected] : pinned) {
+    EXPECT_EQ(channel.seal(payload(n)), expected) << "length " << n;
+  }
+  // A 16,636-byte payload (the MLP update size): FNV-1a of the sealed
+  // bytes.
+  const std::vector<std::uint8_t> big = channel.seal(payload(16636));
+  ASSERT_EQ(big.size(), 16644u);
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  for (std::uint8_t b : big) {
+    h ^= b;
+    h *= 0x100000001B3ULL;
+  }
+  EXPECT_EQ(h, 0x43c67f1ab15837d1ULL);
+  EXPECT_EQ(channel.open(big).value(), payload(16636));
+}
+
+// deliver_in_process returns, for every fault that does not act on
+// bytes, exactly what the byte round trip returns; a bit-flip attempt
+// goes through the bytes and open() rejects it.
+TEST(SecureChannel, DeliverInProcessMatchesByteRoundTrip) {
+  const std::uint64_t key = client_channel_key(42, 3);
+  const SecureChannel channel(key);
+  auto make_update = [] {
+    ClientUpdate u;
+    u.client_id = 3;
+    u.round = 5;
+    Rng rng(11);
+    u.delta = {Tensor::randn({7, 5}, rng), Tensor::randn({5}, rng),
+               Tensor::randn({2, 1, 3}, rng)};
+    return u;
+  };
+  for (FaultType fault : {FaultType::kNone, FaultType::kCorruptDelta,
+                          FaultType::kStaleRound}) {
+    ClientUpdate u = make_update();
+    if (fault == FaultType::kCorruptDelta) {
+      Rng corrupt_rng(12);
+      corrupt_delta(u.delta, corrupt_rng);  // NaN/Inf payloads included
+    } else if (fault == FaultType::kStaleRound) {
+      u.round -= 1;
+    }
+    const std::vector<std::uint8_t> via_bytes = serialize_update(
+        deserialize_update(channel.open(channel.seal(serialize_update(u)))
+                               .take())
+            .take());
+    Rng fault_rng(13);
+    Result<ClientUpdate> delivered =
+        deliver_in_process(std::move(u), fault, key, fault_rng);
+    ASSERT_TRUE(delivered.ok()) << fault_type_name(fault);
+    EXPECT_EQ(serialize_update(delivered.value()), via_bytes)
+        << fault_type_name(fault);
+    Rng untouched(13);
+    EXPECT_EQ(fault_rng.next_u64(), untouched.next_u64())
+        << fault_type_name(fault) << " must not draw from the fault stream";
+  }
+
+  ClientUpdate u = make_update();
+  std::vector<std::uint8_t> sealed = channel.seal(serialize_update(u));
+  Rng fault_rng(13), reference(13);
+  Result<ClientUpdate> delivered =
+      deliver_in_process(std::move(u), FaultType::kBitFlip, key, fault_rng);
+  ASSERT_FALSE(delivered.ok());
+  EXPECT_EQ(delivered.error(), "integrity tag mismatch");
+  // The flips came from the fault stream, over the sealed bytes.
+  flip_random_bits(sealed, reference);
+  EXPECT_EQ(fault_rng.next_u64(), reference.next_u64());
 }
 
 // ---- compression ----

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <cstring>
 #include <iterator>
+#include <limits>
 #include <vector>
 
 #include "common/philox.h"
@@ -318,10 +319,22 @@ TEST(PhiloxNoise, MechanismBatchMatchesExampleLoopBitwise) {
   PerExampleGrads batched = sample_grads(batch, 77);
   PerExampleGrads looped = sample_grads(batch, 77);
   Rng rng_a(9), rng_b(9);
-  mechanism.sanitize_per_example(batched, rng_a);
+  // The one per-example noise path, unclipped (bound +inf): one key per
+  // example in ascending order, then the fused fill. It must lay down
+  // what GaussianMechanism::sanitize gives each example on its own.
+  const dp::ParamGroups groups = dp::single_group(batched.rows.size());
+  std::vector<std::uint64_t> keys(static_cast<std::size_t>(batch));
+  for (auto& k : keys) k = rng_a.next_u64();
+  dp::batch_scale_noise(
+      batched, groups, dp::batch_group_norms(batched, groups),
+      std::vector<double>(static_cast<std::size_t>(batch),
+                          std::numeric_limits<double>::infinity()),
+      std::vector<double>(static_cast<std::size_t>(batch),
+                          mechanism.noise_stddev()),
+      keys);
   for (std::int64_t j = 0; j < batch; ++j) {
     TensorList one = looped.example(j);
-    mechanism.sanitize_example(one, rng_b);
+    mechanism.sanitize(one, rng_b);
     looped.set_example(j, one);
   }
   // Identical draws consumed from the caller's Rng...

@@ -14,10 +14,15 @@
 // graph construction, node/Var allocation, and per-example tensor
 // traffic — plus kernel-level threading. On a single core the MLP
 // engine-only speedup is large (the sliced path is overhead-bound)
-// while the CNN ratio is modest (both paths bottleneck on the same
-// conv matmul kernels, and DP noise generation is a shared floor);
-// with more cores both rise, since the batched path threads its
-// matmuls and the trainer runs clients in parallel.
+// while the CNN ratio is modest: both paths run the same im2col
+// unfold and conv matmul kernels, and the sliced path's autograd has
+// always skipped the first conv's input gradient, which the engine now
+// skips too. What separates them on the CNN is the engine's single
+// batched pass with the pool and activation backward fused and no
+// filled-then-overwritten buffers. DP noise generation is a shared
+// floor of the round rows. With more cores both ratios rise, since
+// the batched path threads its matmuls and the trainer runs clients in
+// parallel.
 //
 // Also measures (a) the fused DP sanitizer's throughput and its 1->4
 // thread scaling — the clip+noise pass is parallel over examples since

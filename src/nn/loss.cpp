@@ -34,12 +34,26 @@ Var mse(const Var& a, const Var& b) {
 
 Tensor softmax(const Tensor& logits) {
   FEDCL_CHECK_EQ(logits.ndim(), 2u);
-  const std::int64_t c = logits.dim(1);
-  Tensor shifted =
-      tensor::sub(logits, tensor::broadcast_col(tensor::row_max(logits), c));
-  Tensor e = tensor::exp(shifted);
-  Tensor denom = tensor::broadcast_col(tensor::row_sum(e), c);
-  return tensor::div(e, denom);
+  const std::int64_t n = logits.dim(0), c = logits.dim(1);
+  FEDCL_CHECK_GT(c, 0);
+  Tensor out = Tensor::uninitialized(logits.shape());
+  // One pass per row, in the arithmetic order of the tensor ops: float
+  // row max, exp of the shifted logit, row sum accumulated in double
+  // and rounded to float, then one division per element.
+  for (std::int64_t i = 0; i < n; ++i) {
+    const float* z = logits.data() + i * c;
+    float* p = out.data() + i * c;
+    float m = z[0];
+    for (std::int64_t j = 1; j < c; ++j) m = std::max(m, z[j]);
+    double sum = 0.0;
+    for (std::int64_t j = 0; j < c; ++j) {
+      p[j] = std::exp(z[j] - m);
+      sum += p[j];
+    }
+    const float denom = static_cast<float>(sum);
+    for (std::int64_t j = 0; j < c; ++j) p[j] /= denom;
+  }
+  return out;
 }
 
 std::vector<std::int64_t> predict(const Tensor& logits) {

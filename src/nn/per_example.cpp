@@ -1,6 +1,7 @@
 #include "nn/per_example.h"
 
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstring>
 
@@ -66,6 +67,38 @@ struct TapeNode {
   ConvSpec spec;                     // Conv geometry
 };
 
+// Calls body with the backward of an activation layer, computed from
+// its output y = f(x): grad(d, y, e) = d * f'(x_e). A null act passes
+// the identity, which never reads y.
+template <typename Body>
+void with_activation_grad(const Layer* act, Body&& body) {
+  using I = std::int64_t;
+  if (act == nullptr) {
+    body([](float d, const float*, I) { return d; });
+    return;
+  }
+  switch (static_cast<const ActivationLayer&>(*act).kind()) {
+    case Activation::kRelu:
+      // y > 0 ? d : 0 as a bit mask: as a branch it mispredicts on
+      // about half the elements.
+      body([](float d, const float* y, I e) {
+        const std::uint32_t keep = -static_cast<std::uint32_t>(y[e] > 0.0f);
+        return std::bit_cast<float>(std::bit_cast<std::uint32_t>(d) & keep);
+      });
+      return;
+    case Activation::kSigmoid:
+      body([](float d, const float* y, I e) {
+        return d * y[e] * (1.0f - y[e]);
+      });
+      return;
+    case Activation::kTanh:
+      body([](float d, const float* y, I e) {
+        return d * (1.0f - y[e] * y[e]);
+      });
+      return;
+  }
+}
+
 void add_bias_rows_(Tensor& y, const Tensor& bias) {
   const std::int64_t c = bias.numel();
   const std::int64_t rows = y.numel() / c;
@@ -84,6 +117,7 @@ Tensor forward_with_tape(Sequential& model, const Tensor& x,
   tape.clear();
   tape.reserve(model.layer_count());
   Tensor h = x;
+  const std::vector<Var>& params = model.parameters();
   std::size_t param_index = 0;
   for (std::size_t i = 0; i < model.layer_count(); ++i) {
     Layer& layer = model.layer(i);
@@ -99,8 +133,8 @@ Tensor forward_with_tape(Sequential& model, const Tensor& x,
         node.weight_index = param_index;
         param_index += 2;
         node.input = h;
-        Tensor y = t::matmul(h, lin.parameters()[0].value());
-        add_bias_rows_(y, lin.parameters()[1].value());
+        Tensor y = t::matmul(h, params[node.weight_index].value());
+        add_bias_rows_(y, params[node.weight_index + 1].value());
         h = y;
         break;
       }
@@ -120,8 +154,8 @@ Tensor forward_with_tape(Sequential& model, const Tensor& x,
         node.weight_index = param_index;
         param_index += 2;
         node.cols = t::im2col(h, node.spec);
-        Tensor y = t::matmul(node.cols, conv.parameters()[0].value());
-        add_bias_rows_(y, conv.parameters()[1].value());
+        Tensor y = t::matmul(node.cols, params[node.weight_index].value());
+        add_bias_rows_(y, params[node.weight_index + 1].value());
         h = y.reshape({n, node.spec.out_h(), node.spec.out_w(),
                        conv.out_channels()});
         break;
@@ -313,15 +347,35 @@ PerExampleGrads compute_per_example_gradients(
     delta.at(j * classes + labels[static_cast<std::size_t>(j)]) -= 1.0f;
   }
 
-  std::vector<Shape> shapes;
-  shapes.reserve(model.parameter_count());
-  for (const auto& p : model.parameters()) shapes.push_back(p.value().shape());
-  PerExampleGrads grads = t::list::make_per_example(batch, std::move(shapes));
+  // Rows start unfilled: the backward below writes every element of
+  // every row, since each parameter belongs to a Linear or Conv2d.
+  const std::vector<Var>& params = model.parameters();
+  PerExampleGrads grads;
+  grads.batch = batch;
+  grads.shapes.reserve(params.size());
+  grads.rows.reserve(params.size());
+  for (const auto& p : params) {
+    grads.shapes.push_back(p.value().shape());
+    grads.rows.push_back(Tensor::uninitialized({batch, p.numel()}));
+  }
+
+  // No caller reads the input gradient, so the backward ends at the
+  // first layer with parameters: that layer's own input gradient and
+  // every parameter-free layer below it (InputScale, Dropout, ...)
+  // would be dead work.
+  std::size_t first_weighted = tape.size();
+  for (std::size_t i = 0; i < tape.size(); ++i) {
+    if (tape[i].kind == NodeKind::kLinear || tape[i].kind == NodeKind::kConv) {
+      first_weighted = i;
+      break;
+    }
+  }
 
   ThreadPool& pool = compute_pool();
-  for (std::size_t i = tape.size(); i-- > 0;) {
+  for (std::size_t i = tape.size(); i-- > first_weighted;) {
     TapeNode& node = tape[i];
-    const bool need_dx = i > 0;
+    // Only the first weighted layer skips its input gradient.
+    const bool need_dx = i > first_weighted;
     switch (node.kind) {
       case NodeKind::kLinear: {
         const auto& lin = static_cast<const Linear&>(*node.layer);
@@ -337,17 +391,19 @@ PerExampleGrads compute_per_example_gradients(
             [&](std::size_t begin, std::size_t end) {
               for (std::size_t j = begin; j < end; ++j) {
                 // grad_W[j] = a_j^T delta_j: a 1-deep matmul_tn is
-                // exactly the outer product, accumulated into the
-                // zero-initialized row.
-                t::matmul_tn_into(a + j * in, d + j * out,
-                                  dw_p + j * static_cast<std::size_t>(in * out),
-                                  /*k=*/1, in, out);
-                std::memcpy(db_p + j * out, d + j * out,
+                // exactly the outer product, accumulated into the row
+                // zeroed here.
+                const float* d_j = d + j * out;
+                float* dw_j = dw_p + j * static_cast<std::size_t>(in * out);
+                std::memset(dw_j, 0,
+                            sizeof(float) * static_cast<std::size_t>(in * out));
+                t::matmul_tn_into(a + j * in, d_j, dw_j, /*k=*/1, in, out);
+                std::memcpy(db_p + j * out, d_j,
                             sizeof(float) * static_cast<std::size_t>(out));
               }
             });
         if (need_dx) {
-          delta = t::matmul_nt(delta, lin.parameters()[0].value());
+          delta = t::matmul_nt(delta, params[node.weight_index].value());
         }
         break;
       }
@@ -367,13 +423,20 @@ PerExampleGrads compute_per_example_gradients(
             [&](std::size_t begin, std::size_t end) {
               for (std::size_t j = begin; j < end; ++j) {
                 // grad_W[j] = cols_j^T delta_j over this example's
-                // patches-deep im2col slice.
+                // patches-deep im2col slice, accumulated into the row
+                // zeroed here.
+                float* dw_row =
+                    dw_p + j * static_cast<std::size_t>(width * oc);
+                float* db_row = db_p + j * oc;
+                std::memset(
+                    dw_row, 0,
+                    sizeof(float) * static_cast<std::size_t>(width * oc));
+                std::memset(db_row, 0,
+                            sizeof(float) * static_cast<std::size_t>(oc));
                 t::matmul_tn_into(
                     cols + j * static_cast<std::size_t>(patches * width),
-                    d + j * static_cast<std::size_t>(patches * oc),
-                    dw_p + j * static_cast<std::size_t>(width * oc),
+                    d + j * static_cast<std::size_t>(patches * oc), dw_row,
                     patches, width, oc);
-                float* db_row = db_p + j * oc;
                 const float* d_row =
                     d + j * static_cast<std::size_t>(patches * oc);
                 for (std::int64_t p = 0; p < patches; ++p) {
@@ -389,56 +452,74 @@ PerExampleGrads compute_per_example_gradients(
           // the full [batch*patches, width] unfolded gradient never
           // materializes (tensor/im2col.h).
           Tensor d2 = delta.reshape({batch * patches, oc});
-          delta = t::conv_input_grad(d2, conv.parameters()[0].value(),
+          delta = t::conv_input_grad(d2, params[node.weight_index].value(),
                                      node.spec, batch);
         }
         break;
       }
       case NodeKind::kAvgPool: {
-        if (!need_dx) break;
         const std::int64_t n = node.in_shape[0], ih = node.in_shape[1],
                            iw = node.in_shape[2], c = node.in_shape[3];
         const auto& layer_pool = static_cast<const AvgPool2d&>(*node.layer);
         const std::int64_t k = layer_pool.kernel();
         const std::int64_t oh = (ih - k) / k + 1, ow = (iw - k) / k + 1;
         const float inv = 1.0f / static_cast<float>(k * k);
-        Tensor dx(node.in_shape);
-        float* dst = dx.data();
-        const float* src = delta.data();
-        // Pool windows tile the input, so each input element receives
-        // exactly one src*inv contribution; images are independent and
-        // the channel-contiguous spread vectorizes.
-        pool.parallel_for_chunks(
-            static_cast<std::size_t>(n), 1,
-            [&](std::size_t nb, std::size_t ne) {
-              for (std::size_t b = nb; b < ne; ++b) {
-                for (std::int64_t oy = 0; oy < oh; ++oy) {
-                  for (std::int64_t ox = 0; ox < ow; ++ox) {
-                    const float* g_row =
-                        src + ((static_cast<std::int64_t>(b) * oh + oy) * ow +
-                               ox) *
-                                  c;
-                    for (std::int64_t ky = 0; ky < k; ++ky) {
-                      float* d_row =
-                          dst + ((static_cast<std::int64_t>(b) * ih +
-                                  oy * k + ky) *
-                                     iw +
-                                 ox * k) *
+        // Pool windows never overlap, so each input element receives at
+        // most one src*inv contribution. When they tile the input every
+        // element receives exactly one and dx needs no zero fill; if an
+        // activation feeds the pool, its derivative is applied in the
+        // same pass and its own backward step is skipped.
+        const bool tiles = oh * k == ih && ow * k == iw;
+        const TapeNode* act =
+            tiles && tape[i - 1].kind == NodeKind::kActivation ? &tape[i - 1]
+                                                               : nullptr;
+        Tensor dx = tiles ? Tensor::uninitialized(node.in_shape)
+                          : Tensor(node.in_shape);
+        with_activation_grad(act != nullptr ? act->layer : nullptr,
+                             [&](auto grad) {
+          float* dst = dx.data();
+          const float* src = delta.data();
+          const float* y = act != nullptr ? act->output.data() : dst;
+          // Images are independent and the channel-contiguous spread
+          // vectorizes.
+          pool.parallel_for_chunks(
+              static_cast<std::size_t>(n), 1,
+              [&](std::size_t nb, std::size_t ne) {
+                for (std::size_t b = nb; b < ne; ++b) {
+                  for (std::int64_t oy = 0; oy < oh; ++oy) {
+                    for (std::int64_t ox = 0; ox < ow; ++ox) {
+                      const float* g_row =
+                          src + ((static_cast<std::int64_t>(b) * oh + oy) * ow +
+                                 ox) *
                                     c;
-                      for (std::int64_t kx = 0; kx < k; ++kx) {
-                        for (std::int64_t ch = 0; ch < c; ++ch)
-                          d_row[kx * c + ch] += g_row[ch] * inv;
+                      for (std::int64_t ky = 0; ky < k; ++ky) {
+                        const std::int64_t base =
+                            ((static_cast<std::int64_t>(b) * ih + oy * k + ky) *
+                                 iw +
+                             ox * k) *
+                            c;
+                        for (std::int64_t kx = 0; kx < k; ++kx) {
+                          float* d_row = dst + base + kx * c;
+                          const float* y_row = y + base + kx * c;
+                          // 0.0f + keeps the zero-filled accumulator's
+                          // rounding (-0 becomes +0), so values stay
+                          // bitwise.
+                          for (std::int64_t ch = 0; ch < c; ++ch) {
+                            d_row[ch] =
+                                grad(0.0f + g_row[ch] * inv, y_row, ch);
+                          }
+                        }
                       }
                     }
                   }
                 }
-              }
-            });
+              });
+        });
         delta = dx;
+        if (act != nullptr) --i;
         break;
       }
       case NodeKind::kMaxPool: {
-        if (!need_dx) break;
         Tensor dx(node.in_shape);
         float* dst = dx.data();
         const float* src = delta.data();
@@ -458,43 +539,27 @@ PerExampleGrads compute_per_example_gradients(
         break;
       }
       case NodeKind::kDropout: {
-        if (need_dx && node.mask.defined()) {
-          delta = t::mul(delta, node.mask);
-        }
+        if (node.mask.defined()) delta = t::mul(delta, node.mask);
         break;
       }
       case NodeKind::kFlatten: {
-        if (need_dx) delta = delta.reshape(node.in_shape);
+        delta = delta.reshape(node.in_shape);
         break;
       }
       case NodeKind::kInputScale: {
-        if (need_dx) {
-          const auto& scale = static_cast<const InputScale&>(*node.layer);
-          delta = t::mul_scalar(delta, scale.scale());
-        }
+        const auto& scale = static_cast<const InputScale&>(*node.layer);
+        delta = t::mul_scalar(delta, scale.scale());
         break;
       }
       case NodeKind::kActivation: {
-        if (!need_dx) break;
-        const auto& act = static_cast<const ActivationLayer&>(*node.layer);
-        Tensor dx(delta.shape());
-        const float* d = delta.data();
-        const float* y = node.output.data();
-        float* o = dx.data();
-        switch (act.kind()) {
-          case Activation::kRelu:
-            for (std::int64_t e = 0; e < dx.numel(); ++e)
-              o[e] = y[e] > 0.0f ? d[e] : 0.0f;
-            break;
-          case Activation::kSigmoid:
-            for (std::int64_t e = 0; e < dx.numel(); ++e)
-              o[e] = d[e] * y[e] * (1.0f - y[e]);
-            break;
-          case Activation::kTanh:
-            for (std::int64_t e = 0; e < dx.numel(); ++e)
-              o[e] = d[e] * (1.0f - y[e] * y[e]);
-            break;
-        }
+        Tensor dx = Tensor::uninitialized(delta.shape());
+        with_activation_grad(node.layer, [&](auto grad) {
+          const float* d = delta.data();
+          const float* y = node.output.data();
+          float* o = dx.data();
+          for (std::int64_t e = 0; e < dx.numel(); ++e)
+            o[e] = grad(d[e], y, e);
+        });
         delta = dx;
         break;
       }

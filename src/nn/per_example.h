@@ -15,7 +15,8 @@
 // rows across the batch dimension, the batched backward delta restricted
 // to example j IS that example's delta — so the outer products above
 // are exact, not approximations. Results match the sliced reference
-// to float rounding (~1e-6 relative).
+// to float rounding (~1e-6 relative). No input gradient is returned,
+// so the backward stops at the first layer with parameters.
 //
 // Gradients come back in the [B, numel] row layout of PerExampleGrads,
 // which the DP policies clip and noise in place without materializing

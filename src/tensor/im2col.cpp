@@ -17,59 +17,76 @@ namespace {
 // serial; small unfoldings are dominated by pool handoff latency.
 constexpr std::int64_t kParallelFloats = 1 << 15;
 
-// Unfolds one image. For each (output row, kh) the valid kw range
-// [kw_lo, kw_hi) maps to one contiguous span of the NHWC source row,
-// so the body is clamped memset / memcpy / memset instead of per-
-// element bounds checks.
-// Row segments of at most this many floats are copied with inline
-// loops: at conv1-like shapes (in_c=1, kernel 5 -> 5-float segments)
-// the libc memset/memcpy call overhead costs more than the move.
+// Segments of at most this many floats are copied with an inline
+// loop: at conv1-like shapes (in_c=1, kernel 5 -> 5-float segments)
+// the libc memcpy call costs more than the move.
 constexpr std::int64_t kInlineSegFloats = 16;
 
+// Per-thread scratch that grows to the largest request and is reused,
+// so steady-state unfolds and input gradients allocate nothing. Each
+// call site owns its own buffer (the Tag), and a buffer is only read
+// by the thread that filled it or by pool tasks the filling call waits
+// for.
+template <typename Tag>
+float* thread_scratch(std::int64_t floats) {
+  thread_local std::vector<float> buf;
+  if (buf.size() < static_cast<std::size_t>(floats))
+    buf.resize(static_cast<std::size_t>(floats));
+  return buf.data();
+}
+
+struct PaddedImageTag {};
+struct TransposedWeightTag {};
+struct GradTileTag {};
+
+// Copies one image into a per-thread buffer with `pad` zero rows and
+// columns on every side. Every element of the buffer is written, so
+// reuse across images of different sizes leaves nothing stale.
+const float* padded_image(const float* img, const ConvSpec& spec) {
+  const std::int64_t c = spec.in_c, p = spec.pad;
+  const std::int64_t row = spec.in_w * c;
+  const std::int64_t prow = row + 2 * p * c;
+  const std::int64_t ph = spec.in_h + 2 * p;
+  float* out = thread_scratch<PaddedImageTag>(ph * prow);
+  std::fill(out, out + p * prow, 0.0f);
+  for (std::int64_t y = 0; y < spec.in_h; ++y) {
+    float* r = out + (p + y) * prow;
+    std::fill(r, r + p * c, 0.0f);
+    std::memcpy(r + p * c, img + y * row,
+                static_cast<std::size_t>(row) * sizeof(float));
+    std::fill(r + p * c + row, r + prow, 0.0f);
+  }
+  std::fill(out + (p + spec.in_h) * prow, out + ph * prow, 0.0f);
+  return out;
+}
+
+// Unfolds one image. In NHWC the kw range of one (output row, kh) pair
+// is a contiguous span of kernel_w * in_c floats; reading from a
+// zero-padded copy of the image makes every such span in bounds, so
+// each one is a single unclamped copy. A pure copy: the output is
+// bitwise the naive per-element unfold.
 void im2col_image(const float* img, float* cols, const ConvSpec& spec) {
   const std::int64_t oh = spec.out_h(), ow = spec.out_w();
   const std::int64_t patch = spec.patch_size();
-  const std::int64_t hw_stride = spec.in_w * spec.in_c;
   const std::int64_t row_seg = spec.kernel_w * spec.in_c;
+  const std::int64_t src_row = (spec.in_w + 2 * spec.pad) * spec.in_c;
+  const std::int64_t x_step = spec.stride * spec.in_c;
+  const float* src = spec.pad > 0 ? padded_image(img, spec) : img;
   const bool inline_seg = row_seg <= kInlineSegFloats;
   for (std::int64_t y = 0; y < oh; ++y) {
-    const std::int64_t ys = y * spec.stride - spec.pad;
+    const float* src_y = src + y * spec.stride * src_row;
     for (std::int64_t xo = 0; xo < ow; ++xo) {
       float* row = cols + (y * ow + xo) * patch;
-      const std::int64_t xs = xo * spec.stride - spec.pad;
-      const std::int64_t kw_lo = std::max<std::int64_t>(0, -xs);
-      const std::int64_t kw_hi =
-          std::min(spec.kernel_w, spec.in_w - xs);
-      const std::int64_t lo = kw_lo * spec.in_c;
-      const std::int64_t hi = kw_hi * spec.in_c;
-      const float* col_base = img + xs * spec.in_c;
+      const float* win = src_y + xo * x_step;
       for (std::int64_t kh = 0; kh < spec.kernel_h; ++kh) {
         float* seg = row + kh * row_seg;
-        const std::int64_t yy = ys + kh;
-        if (yy < 0 || yy >= spec.in_h || kw_lo >= kw_hi) {
-          if (inline_seg) {
-            for (std::int64_t i = 0; i < row_seg; ++i) seg[i] = 0.0f;
-          } else {
-            std::memset(seg, 0, static_cast<std::size_t>(row_seg) *
-                                    sizeof(float));
-          }
-          continue;
-        }
-        const float* src = col_base + yy * hw_stride;
+        const float* s = win + kh * src_row;
         if (inline_seg) {
-          std::int64_t i = 0;
-          for (; i < lo; ++i) seg[i] = 0.0f;
-          for (; i < hi; ++i) seg[i] = src[i];
-          for (; i < row_seg; ++i) seg[i] = 0.0f;
-          continue;
+          for (std::int64_t i = 0; i < row_seg; ++i) seg[i] = s[i];
+        } else {
+          std::memcpy(seg, s,
+                      static_cast<std::size_t>(row_seg) * sizeof(float));
         }
-        if (lo > 0)
-          std::memset(seg, 0, static_cast<std::size_t>(lo) * sizeof(float));
-        std::memcpy(seg + lo, src + lo,
-                    static_cast<std::size_t>(hi - lo) * sizeof(float));
-        if (hi < row_seg)
-          std::memset(seg + hi, 0,
-                      static_cast<std::size_t>(row_seg - hi) * sizeof(float));
       }
     }
   }
@@ -149,7 +166,7 @@ Tensor im2col(const Tensor& x, const ConvSpec& spec) {
   const std::int64_t oh = spec.out_h(), ow = spec.out_w();
   const std::int64_t patch = spec.patch_size();
   const std::int64_t per_image = oh * ow * patch;
-  Tensor cols({n * oh * ow, patch});
+  Tensor cols = Tensor::uninitialized({n * oh * ow, patch});
   const float* px = x.data();
   float* pc = cols.data();
   const std::int64_t img_stride = spec.in_h * spec.in_w * spec.in_c;
@@ -190,9 +207,9 @@ Tensor conv_input_grad(const Tensor& delta, const Tensor& w,
   FEDCL_CHECK_EQ(delta.dim(1), oc);
   FEDCL_CHECK_EQ(w.dim(0), patch);
 
-  // w [patch, oc] transposed once up front so every per-image tile is
+  // w [patch, oc] transposed once per call so every per-image tile is
   // a plain NN matmul with ascending-oc accumulation.
-  std::vector<float> wt(static_cast<std::size_t>(oc) * patch);
+  float* wt = thread_scratch<TransposedWeightTag>(oc * patch);
   const float* pw = w.data();
   for (std::int64_t p = 0; p < patch; ++p)
     for (std::int64_t c = 0; c < oc; ++c) wt[c * patch + p] = pw[p * oc + c];
@@ -205,24 +222,23 @@ Tensor conv_input_grad(const Tensor& delta, const Tensor& w,
   ThreadPool& pool = compute_pool();
   const bool parallel =
       n > 1 && n * rows * oc * patch >= (1 << 18) && pool.size() > 1;
-  auto image = [&](std::int64_t b, std::vector<float>& scratch) {
-    std::memset(scratch.data(), 0,
-                static_cast<std::size_t>(rows) * patch * sizeof(float));
-    matmul_nn_into(pd + b * rows * oc, wt.data(), scratch.data(), rows, oc,
-                   patch);
-    col2im_image(scratch.data(), px + b * img_stride, spec);
+  auto images = [&](std::int64_t begin, std::int64_t end) {
+    float* tile = thread_scratch<GradTileTag>(rows * patch);
+    for (std::int64_t b = begin; b < end; ++b) {
+      std::memset(tile, 0,
+                  static_cast<std::size_t>(rows * patch) * sizeof(float));
+      matmul_nn_into(pd + b * rows * oc, wt, tile, rows, oc, patch);
+      col2im_image(tile, px + b * img_stride, spec);
+    }
   };
   if (!parallel) {
-    std::vector<float> scratch(static_cast<std::size_t>(rows) * patch);
-    for (std::int64_t b = 0; b < n; ++b) image(b, scratch);
+    images(0, n);
     return x;
   }
   pool.parallel_for_chunks(static_cast<std::size_t>(n), /*grain=*/1,
                            [&](std::size_t begin, std::size_t end) {
-                             std::vector<float> scratch(
-                                 static_cast<std::size_t>(rows) * patch);
-                             for (std::size_t b = begin; b < end; ++b)
-                               image(static_cast<std::int64_t>(b), scratch);
+                             images(static_cast<std::int64_t>(begin),
+                                    static_cast<std::int64_t>(end));
                            });
   return x;
 }

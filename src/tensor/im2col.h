@@ -7,11 +7,13 @@
 // Both directions run a blocked fast path: in NHWC the kw range of one
 // (output row, kh) pair is a single contiguous span of kernel_w * in_c
 // floats in the source image, so the per-element bounds checks of the
-// naive triple loop collapse into one clamped memcpy/memset (im2col)
-// or one vectorized span add (col2im) per (row, kh). Images are
-// independent, so both directions parallelize over the batch with
-// bitwise-stable results (per-image work is serial and identical to
-// the single-threaded order).
+// naive triple loop collapse into one span operation per (row, kh).
+// im2col reads from a zero-padded per-thread copy of each image, which
+// makes every span an unclamped copy; col2im clamps each span and adds
+// it with one vectorized loop. Images are independent, so both
+// directions parallelize over the batch with bitwise-stable results
+// (per-image work is serial and identical to the single-threaded
+// order).
 #pragma once
 
 #include <cstdint>

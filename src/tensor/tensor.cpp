@@ -39,10 +39,15 @@ BlockCache& block_cache() {
   return cache;
 }
 
-std::shared_ptr<float[]> alloc_storage(std::int64_t n) {
+// zero=false skips the fill, for kernels that write every element
+// before anything reads it.
+std::shared_ptr<float[]> alloc_storage(std::int64_t n, bool zero) {
   FEDCL_CHECK_GE(n, 0);
+  const std::size_t count = static_cast<std::size_t>(n);
+  // The trailing () value-initializes, which zero-fills.
+  auto fresh = [&] { return zero ? new float[count]() : new float[count]; };
   if (n >= kBlockCacheMinFloats) {
-    const std::size_t bytes = static_cast<std::size_t>(n) * sizeof(float);
+    const std::size_t bytes = count * sizeof(float);
     // The deleter may run on a different thread than the allocation;
     // each thread returns blocks to its own cache, which keeps both
     // sides lock-free.
@@ -61,14 +66,12 @@ std::shared_ptr<float[]> alloc_storage(std::int64_t n) {
       float* p = it->second.back();
       it->second.pop_back();
       cache.bytes -= bytes;
-      std::memset(p, 0, bytes);
+      if (zero) std::memset(p, 0, bytes);
       return std::shared_ptr<float[]>(p, recycle);
     }
-    return std::shared_ptr<float[]>(new float[static_cast<std::size_t>(n)](),
-                                    recycle);
+    return std::shared_ptr<float[]>(fresh(), recycle);
   }
-  // Value-initialized => zero-filled.
-  return std::shared_ptr<float[]>(new float[static_cast<std::size_t>(n)]());
+  return std::shared_ptr<float[]>(fresh());
 }
 
 void check_same_shape(const Tensor& a, const Tensor& b, const char* op) {
@@ -99,14 +102,20 @@ Tensor unary_op(const Tensor& a, F f) {
 
 }  // namespace
 
-Tensor::Tensor(Shape shape)
+Tensor::Tensor(Shape shape) : Tensor(std::move(shape), /*zero=*/true) {}
+
+Tensor::Tensor(Shape shape, bool zero)
     : shape_(std::move(shape)),
       numel_(shape_numel(shape_)),
-      data_(alloc_storage(numel_)) {
+      data_(alloc_storage(numel_, zero)) {
   for (std::int64_t d : shape_) FEDCL_CHECK_GE(d, 0);
 }
 
 Tensor Tensor::zeros(Shape shape) { return Tensor(std::move(shape)); }
+
+Tensor Tensor::uninitialized(Shape shape) {
+  return Tensor(std::move(shape), /*zero=*/false);
+}
 
 Tensor Tensor::ones(Shape shape) { return full(std::move(shape), 1.0f); }
 

@@ -28,6 +28,9 @@ class Tensor {
   explicit Tensor(Shape shape);
 
   static Tensor zeros(Shape shape);
+  // Storage left unfilled, for kernels that write every element before
+  // anything reads it.
+  static Tensor uninitialized(Shape shape);
   static Tensor ones(Shape shape);
   static Tensor full(Shape shape, float value);
   static Tensor from_vector(Shape shape, std::vector<float> values);
@@ -75,6 +78,8 @@ class Tensor {
   std::string debug_string(std::int64_t max_entries = 8) const;
 
  private:
+  Tensor(Shape shape, bool zero);
+
   Shape shape_;
   std::int64_t numel_ = 0;
   std::shared_ptr<float[]> data_;

@@ -85,6 +85,9 @@ const ConvSpec kConvSpecs[] = {
     {9, 7, 2, 3, 3, 2, 1},   // non-square, strided
     {6, 6, 4, 2, 2, 2, 0},   // pad-free tiling
     {5, 5, 1, 5, 5, 1, 4},   // pad wider than the image interior
+    {12, 12, 1, 5, 5, 1, 2}, // Fed-CDP CNN conv1 (5-float segments)
+    {6, 6, 8, 5, 5, 1, 2},   // Fed-CDP CNN conv2
+    {7, 7, 3, 3, 3, 2, 0},   // strided, unpadded, overlapping windows
 };
 
 TEST(KernelCheck, Im2colMatchesNaiveBitwise) {
@@ -99,6 +102,56 @@ TEST(KernelCheck, Im2colMatchesNaiveBitwise) {
         ASSERT_EQ(fast.at(i), naive.at(i)) << "element " << i;
       }
     }
+  }
+}
+
+TEST(KernelCheck, Im2colScratchReuseAcrossSizesAndThreads) {
+  // im2col unfolds from a per-thread padded copy and conv_input_grad
+  // keeps per-thread tiles. Sizes change back to back on one thread
+  // (a larger buffer must not leak stale border values into a smaller
+  // image), and pools of 1, 2 and 8 threads run every shape at once;
+  // every result must be bitwise the single-threaded one.
+  struct Case {
+    ConvSpec spec;
+    Tensor x, delta, w, cols, dx;
+  };
+  std::vector<Case> cases;
+  for (const auto& spec : kConvSpecs) {
+    Case c{spec,
+           rng_fill({2, spec.in_h, spec.in_w, spec.in_c}, 1100 + spec.in_h),
+           rng_fill({2 * spec.out_h() * spec.out_w(), 3}, 1200 + spec.in_c),
+           rng_fill({spec.patch_size(), 3}, 1300 + spec.kernel_h),
+           {},
+           {}};
+    c.cols = naive_im2col(c.x, spec);
+    c.dx = t::conv_input_grad(c.delta, c.w, spec, 2);
+    cases.push_back(std::move(c));
+  }
+  auto same = [](const Tensor& a, const Tensor& b) {
+    const std::size_t bytes =
+        sizeof(float) * static_cast<std::size_t>(a.numel());
+    return a.numel() == b.numel() &&
+           std::memcmp(a.data(), b.data(), bytes) == 0;
+  };
+  for (int pass = 0; pass < 2; ++pass) {
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+      const Case& c = cases[pass == 0 ? i : cases.size() - 1 - i];
+      EXPECT_TRUE(same(t::im2col(c.x, c.spec), c.cols)) << "case " << i;
+      EXPECT_TRUE(same(t::conv_input_grad(c.delta, c.w, c.spec, 2), c.dx))
+          << "case " << i;
+    }
+  }
+  for (std::size_t threads : {1, 2, 8}) {
+    ThreadPool pool(threads);
+    const std::size_t tasks = 4 * cases.size();
+    std::vector<char> ok(tasks, 0);
+    pool.parallel_for(tasks, [&](std::size_t task) {
+      const Case& c = cases[(task * 5) % cases.size()];
+      ok[task] = same(t::im2col(c.x, c.spec), c.cols) &&
+                 same(t::conv_input_grad(c.delta, c.w, c.spec, 2), c.dx);
+    });
+    for (std::size_t task = 0; task < tasks; ++task)
+      EXPECT_TRUE(ok[task]) << threads << " threads, task " << task;
   }
 }
 

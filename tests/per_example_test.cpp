@@ -15,6 +15,7 @@
 #include "nn/model_zoo.h"
 #include "nn/per_example.h"
 #include "tensor/tensor_list.h"
+#include "testing/kernel_check.h"
 
 namespace fedcl {
 namespace {
@@ -176,6 +177,113 @@ TEST(PerExampleEngine, ModeDispatch) {
   PerExampleGrads batched = nn::per_example_gradients(*model, x, labels);
   nn::set_per_example_mode(nn::PerExampleMode::kAuto);
   EXPECT_LT(max_abs_diff(batched, sliced), 1e-5);
+}
+
+// The engine against testing::reference_per_example_gradients, bit for
+// bit: the backward cutoff at the first weighted layer, the padded-copy
+// unfold, the fused pool/activation backward and the unfilled buffers
+// must not change a single value. `make` builds the model; it is
+// called twice with the same seed so stochastic layers draw the same
+// masks in both paths.
+template <typename MakeModel>
+void expect_engine_matches_reference(MakeModel make, const Tensor& x,
+                                     const std::vector<std::int64_t>& labels) {
+  auto engine_model = make();
+  auto reference_model = make();
+  ASSERT_TRUE(nn::per_example_supported(*engine_model));
+  double engine_loss = 0.0, reference_loss = 0.0;
+  const PerExampleGrads got = nn::compute_per_example_gradients(
+      *engine_model, x, labels, &engine_loss);
+  const PerExampleGrads want = testing::reference_per_example_gradients(
+      *reference_model, x, labels, &reference_loss);
+  testing::expect_grads_bitwise_equal(got, want);
+  EXPECT_EQ(engine_loss, reference_loss);
+}
+
+TEST(PerExampleEngine, CdpCnnBitwiseMatchesUnfusedReference) {
+  // The MNIST-shaped CNN of the Fed-CDP benchmark workload: InputScale,
+  // then a 5x5 pad-2 conv on 12x12x1, ReLU/AvgPool twice, and Linear.
+  const nn::ModelSpec spec =
+      data::benchmark_config(data::BenchmarkId::kMnist, BenchScale::kSmall)
+          .model;
+  ASSERT_EQ(spec.height, 12);
+  for (std::int64_t batch : {1, 5}) {
+    Rng rng(4000 + static_cast<std::uint64_t>(batch));
+    const Tensor x = Tensor::uniform({batch, 12, 12, 1}, rng);
+    const auto labels = random_labels(rng, batch, spec.classes);
+    expect_engine_matches_reference(
+        [&] {
+          Rng model_rng(17);
+          return nn::build_model(spec, model_rng);
+        },
+        x, labels);
+  }
+}
+
+TEST(PerExampleEngine, MlpWithDropoutAndInputScaleBitwiseMatchesReference) {
+  // Parameter-free layers ahead of the first Linear: the engine never
+  // runs their backward, the reference does.
+  for (std::int64_t batch : {1, 5}) {
+    Rng rng(4100 + static_cast<std::uint64_t>(batch));
+    const Tensor x = Tensor::randn({batch, 20}, rng);
+    const auto labels = random_labels(rng, batch, 5);
+    expect_engine_matches_reference(
+        [] {
+          Rng model_rng(23);
+          auto model = std::make_shared<Sequential>();
+          // Not a power of two, so the scale rounds.
+          model->emplace<nn::InputScale>(-0.3f, 1.7f);
+          model->emplace<nn::Dropout>(0.3, 99);
+          model->emplace<nn::Linear>(20, 16, model_rng);
+          model->emplace<nn::ActivationLayer>(nn::Activation::kRelu);
+          model->emplace<nn::Linear>(16, 5, model_rng);
+          return model;
+        },
+        x, labels);
+  }
+}
+
+TEST(PerExampleEngine, PoolActivationVariantsBitwiseMatchReference) {
+  // Sigmoid and tanh under a tiling AvgPool (fused backward), ReLU
+  // under a pool that leaves a border uncovered (unfused fallback), a
+  // strided conv, and MaxPool routing.
+  Rng rng(4200);
+  const Tensor x = Tensor::randn({3, 9, 9, 2}, rng);
+  const auto labels = random_labels(rng, 3, 3);
+  expect_engine_matches_reference(
+      [] {
+        Rng model_rng(29);
+        auto model = std::make_shared<Sequential>();
+        model->emplace<nn::Conv2d>(2, 4, 3, 2, 1, model_rng);   // 9 -> 5
+        model->emplace<nn::ActivationLayer>(nn::Activation::kRelu);
+        model->emplace<nn::AvgPool2d>(2);                      // 5 -> 2
+        model->emplace<nn::Conv2d>(4, 4, 3, 1, 1, model_rng);  // 2 -> 2
+        model->emplace<nn::ActivationLayer>(nn::Activation::kSigmoid);
+        model->emplace<nn::AvgPool2d>(2);                      // 2 -> 1
+        model->emplace<nn::Flatten>();
+        model->emplace<nn::Linear>(4, 6, model_rng);
+        model->emplace<nn::ActivationLayer>(nn::Activation::kTanh);
+        model->emplace<nn::Linear>(6, 3, model_rng);
+        return model;
+      },
+      x, labels);
+  const Tensor x2 = Tensor::randn({4, 8, 8, 1}, rng);
+  const auto labels2 = random_labels(rng, 4, 3);
+  expect_engine_matches_reference(
+      [] {
+        Rng model_rng(31);
+        auto model = std::make_shared<Sequential>();
+        model->emplace<nn::Conv2d>(1, 3, 3, 1, 1, model_rng);
+        model->emplace<nn::ActivationLayer>(nn::Activation::kTanh);
+        model->emplace<nn::AvgPool2d>(2);                      // 8 -> 4
+        model->emplace<nn::Conv2d>(3, 4, 3, 1, 1, model_rng);
+        model->emplace<nn::ActivationLayer>(nn::Activation::kRelu);
+        model->emplace<nn::MaxPool2d>(2);                      // 4 -> 2
+        model->emplace<nn::Flatten>();
+        model->emplace<nn::Linear>(16, 3, model_rng);
+        return model;
+      },
+      x2, labels2);
 }
 
 TEST(PerExampleGradsLayout, ExampleRoundTripAndNorms) {
